@@ -97,6 +97,11 @@ let run ~window ?until ?(on_round = fun ~at:_ -> ()) shards =
         if errors.(rank) = None then errors.(rank) <- Some (e, Printexc.get_raw_backtrace ())
     in
     let write_next () = next_event.(rank) <- Engine.next_time shard.engine in
+    (* Mail pushed while the shards were quiescent (between runs, or from
+       the calling domain) must be on the queue before the first window
+       is chosen, or it would be drained after that window and land in
+       the receiver's past. *)
+    guard shard.drain;
     guard write_next;
     let continue = ref true in
     while !continue do

@@ -8,7 +8,8 @@
     is never executed early), then meets at a barrier where each shard
     drains its cross-shard inbox — scheduling the messages other shards
     pushed during the window onto its own queue — before the next window
-    is chosen.
+    is chosen. Every inbox is also drained once before the first window,
+    so mail pushed while the shards were quiescent is scheduled in time.
 
     Correctness requirement (the conservative-PDES lookahead condition):
     every cross-shard message sent at virtual time [s] must be scheduled

@@ -69,6 +69,34 @@ let test_placement_clamps () =
   let p = Placement.create topo ~n_domains:8 ~items in
   Alcotest.(check int) "clamped to site count" 2 (Placement.n_domains p)
 
+(* --- mail pushed between runs is drained before the first window --- *)
+
+let test_quiescent_mail_first () =
+  let engines = Array.init 2 (fun _ -> Engine.create ~seed:1 ()) in
+  let inbox = Mailbox.create () in
+  let delivered = ref None in
+  let drain () =
+    List.iter
+      (fun (_, _, at) ->
+        ignore
+          (Engine.schedule_at engines.(1) ~at (fun () ->
+               delivered := Some (Engine.now engines.(1)))))
+      (Mailbox.drain inbox)
+  in
+  (* shard 0's first event is at 10 ms; shard 1 has only the mail, due at
+     2 ms, pushed before the run starts *)
+  ignore (Engine.schedule_at engines.(0) ~at:(Time.of_ms 10.) ignore);
+  Mailbox.push (Mailbox.sender inbox ~rank:0) (Time.of_ms 2.);
+  let shards =
+    [|
+      { Parallel.engine = engines.(0); drain = ignore };
+      { Parallel.engine = engines.(1); drain };
+    |]
+  in
+  ignore (Parallel.run ~window:(Time.of_ms 1.) shards);
+  Alcotest.(check (option int)) "delivered at its own instant" (Some 2000)
+    (Option.map Time.to_us !delivered)
+
 (* --- domains = 1 replays the sequential cluster --- *)
 
 let test_domains1_replays_sequential () =
@@ -251,6 +279,7 @@ let suites =
       [
         Alcotest.test_case "placement partitions sites" `Quick test_placement_partitions;
         Alcotest.test_case "placement clamps domains" `Quick test_placement_clamps;
+        Alcotest.test_case "quiescent mail drained first" `Quick test_quiescent_mail_first;
         Alcotest.test_case "domains=1 replays sequential" `Quick
           test_domains1_replays_sequential;
         Alcotest.test_case "short run still probed" `Quick test_short_run_probes;
