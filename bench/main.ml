@@ -1307,7 +1307,7 @@ let exp_throughput_check () =
 
 (* --- parallel engine (gated perf benchmark) ---
 
-   Sequential cluster vs the domain-sharded engine on the same sharded
+   One shard vs four shards of the same cluster on one sharded
    100-site workload, measured in wall-clock time (CPU time sums across
    domains and would hide any speedup). Writes BENCH_parallel.json; the
    committed copy is the baseline for [parallel-check].
@@ -1380,11 +1380,11 @@ let measure_parallel () =
   in
   let seq_wall = Unix.gettimeofday () -. t0 in
   let par_config = parallel_config ~domains:4 in
-  let pc = Pcluster.create par_config in
-  let wl = parallel_workload par_config (Pcluster.topology pc) in
+  let pc = Cluster.create par_config in
+  let wl = parallel_workload par_config (Cluster.topology pc) in
   let t0 = Unix.gettimeofday () in
   let par =
-    Runner.run_parallel pc ~nth_update:(Scm.generator wl) ~total_updates:parallel_total
+    Runner.run pc ~nth_update:(Scm.generator wl) ~total_updates:parallel_total
       ~interval:parallel_interval ()
   in
   let par_wall = Unix.gettimeofday () -. t0 in
@@ -1395,11 +1395,11 @@ let measure_parallel () =
     par_speedup = seq_wall /. par_wall;
     par_seq_applied = seq.Runner.final.Runner.applied;
     par4_applied = par.Runner.final.Runner.applied;
-    par4_rounds = Pcluster.rounds pc;
+    par4_rounds = Cluster.rounds pc;
   }
   in
   note "host: %d cores" n.host_cores;
-  note "sequential: %.0f updates/s wall (applied=%d)" n.par_seq_ups n.par_seq_applied;
+  note "1 shard:    %.0f updates/s wall (applied=%d)" n.par_seq_ups n.par_seq_applied;
   note "4 domains:  %.0f updates/s wall (applied=%d, %d rounds), speedup %.2fx"
     n.par4_ups n.par4_applied n.par4_rounds n.par_speedup;
   n

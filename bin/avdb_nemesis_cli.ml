@@ -167,11 +167,10 @@ let domains_arg =
     value & opt int 1
     & info [ "domains" ] ~docv:"N"
         ~doc:
-          "Run the system under test on the parallel engine with $(docv) OCaml domains: \
-           site faults land on their owning shards, network knobs are mirrored into every \
-           shard, and the oracle (with --oracle) merges one history per shard. \
-           Deterministic per seed. Incompatible with --disk-faults. 1 (default) is the \
-           sequential engine.")
+          "Shard the system under test over $(docv) OCaml domains: site faults land on \
+           their owning shards, network knobs are mirrored into every shard, and the \
+           oracle (with --oracle) merges one history per shard. Deterministic per seed. \
+           More than 1 is incompatible with --disk-faults.")
 
 let mutation_conv =
   let parse s =

@@ -129,105 +129,6 @@ let run retailers items initial updates update_class mode allocation selection g
       maker_weight;
     }
   in
-  if domains > 1 then begin
-    (* The parallel engine: sites sharded across OCaml domains, run by
-       Runner.run_parallel. No mid-run checkpoints (cross-shard stats are
-       only readable at quiescence); exports use the merged JSONL entry
-       points regardless of suffix. *)
-    let pc = Pcluster.create config in
-    let topo = Pcluster.topology pc in
-    let workload =
-      match spread with
-      | None -> Scm.create spec ~seed
-      | Some _ ->
-          let subscribers item =
-            let base = Topology.base_index topo ~item in
-            Array.of_list
-              (base
-              :: List.filter (fun i -> i <> base) (Topology.subscribers topo ~item))
-          in
-          Scm.create_sharded spec ~subscribers ~seed
-    in
-    let recorders =
-      if not check then None
-      else
-        Some
-          (Array.map
-             (fun tr ->
-               let h = Avdb_check.History.create () in
-               ignore (Avdb_check.History.attach_trace h tr);
-               h)
-             (Pcluster.traces pc))
-    in
-    let submit =
-      Option.map
-        (fun hs ->
-          let engines = Pcluster.engines pc in
-          fun ~shard site ~item ~delta k ->
-            Avdb_check.History.submit_update hs.(shard) ~engine:engines.(shard) site
-              ~item ~delta k)
-        recorders
-    in
-    let outcome =
-      Runner.run_parallel pc ~nth_update:(Scm.generator workload) ~total_updates:updates
-        ?submit ()
-    in
-    let final = outcome.Runner.final in
-    if csv then begin
-      let table =
-        Ascii_table.create
-          ~headers:([ "updates"; "correspondences" ]
-                   @ List.init n_sites (fun i -> Printf.sprintf "site%d" i))
-      in
-      Ascii_table.add_int_row table
-        (string_of_int final.Runner.updates_done)
-        (final.Runner.total_correspondences
-        :: List.init n_sites (fun i ->
-               try List.assoc i final.Runner.per_site_correspondences with Not_found -> 0));
-      print_endline (Ascii_table.to_csv table)
-    end
-    else begin
-      Format.printf "%a@." Config.pp config;
-      Printf.printf "parallel engine: %d shards, window %.1f ms, %d rounds\n"
-        (Pcluster.n_domains pc)
-        (Avdb_sim.Time.to_ms (Pcluster.window pc))
-        (Pcluster.rounds pc);
-      Printf.printf "correspondences: %d\n" final.Runner.total_correspondences;
-      Printf.printf "applied %d / rejected %d of %d updates\n" final.Runner.applied
-        final.Runner.rejected updates;
-      if config.Config.mode = Config.Autonomous then begin
-        Pcluster.flush_all_syncs pc;
-        match Pcluster.check_invariants pc with
-        | Ok () -> print_endline "invariants: OK (replicas agree; AV conserved)"
-        | Error e -> Printf.printf "invariants: VIOLATED - %s\n" e
-      end
-    end;
-    let module Exporter = Avdb_obs.Exporter in
-    Option.iter
-      (fun path ->
-        let spans = Pcluster.spans pc in
-        Exporter.write_file ~path (Exporter.spans_jsonl spans);
-        Printf.eprintf "wrote %d spans (merged, jsonl) to %s\n%!" (List.length spans) path)
-      trace_out;
-    Option.iter
-      (fun path ->
-        if config.Config.snapshot_interval = None then Pcluster.snapshot_now pc;
-        let samples = Pcluster.metric_samples pc in
-        Exporter.write_file ~path (Exporter.metrics_jsonl samples);
-        Printf.eprintf "wrote %d metric samples (merged, jsonl) to %s\n%!"
-          (List.length samples) path)
-      metrics_out;
-    match recorders with
-    | None -> 0
-    | Some hs ->
-        if config.Config.mode = Config.Autonomous then Pcluster.flush_all_syncs pc;
-        let history = Avdb_check.History.merge (Array.to_list hs) in
-        let snapshot = Avdb_check.Checker.snapshot_of_pcluster pc in
-        let verdict = Avdb_check.Checker.check ~quiescent:true ~history snapshot in
-        Format.printf "%a@." Avdb_check.Checker.pp_verdict verdict;
-        if Avdb_check.Checker.ok verdict then 0 else 1
-  end
-  else begin
   let cluster = Cluster.create config in
   let workload =
     match spread with
@@ -242,29 +143,43 @@ let run retailers items initial updates update_class mode allocation selection g
         Scm.create_sharded spec ~subscribers ~seed
   in
   (* --check threads every submission through the oracle's history
-     recorder; the verdict prints after quiescence. *)
-  let recorder =
+     recorder (one per shard, merged at the end); the verdict prints after
+     quiescence. *)
+  let recorders =
     if not check then None
-    else begin
-      let h = Avdb_check.History.create () in
-      ignore (Avdb_check.History.attach_trace h (Cluster.trace cluster));
-      Some h
-    end
+    else
+      Some
+        (Array.map
+           (fun tr ->
+             let h = Avdb_check.History.create () in
+             ignore (Avdb_check.History.attach_trace h tr);
+             h)
+           (Cluster.traces cluster))
   in
   let submit =
-    match recorder with
+    match recorders with
     | None -> fun site ~item ~delta k -> Site.submit_update site ~item ~delta k
-    | Some h -> Avdb_check.History.submit_update h ~engine:(Cluster.engine cluster)
+    | Some hs ->
+        let engines = Cluster.engines cluster in
+        fun site ~item ~delta k ->
+          let shard =
+            Cluster.domain_of_site cluster (Avdb_net.Address.to_int (Site.addr site))
+          in
+          Avdb_check.History.submit_update hs.(shard) ~engine:engines.(shard) site ~item
+            ~delta k
   in
   let outcome =
     Runner.run cluster ~nth_update:(Scm.generator workload) ~total_updates:updates
       ~checkpoint_every:(Stdlib.max 1 (updates / checkpoints)) ~submit ()
   in
+  let final = outcome.Runner.final in
+  let sharded = Cluster.n_domains cluster > 1 in
   let table =
     Ascii_table.create
       ~headers:([ "updates"; "correspondences" ]
                @ List.init n_sites (fun i -> Printf.sprintf "site%d" i))
   in
+  (* Several shards take no mid-run checkpoints: the table is the final row. *)
   List.iter
     (fun (c : Runner.checkpoint) ->
       Ascii_table.add_int_row table
@@ -272,12 +187,16 @@ let run retailers items initial updates update_class mode allocation selection g
         (c.Runner.total_correspondences
         :: List.init n_sites (fun i ->
                try List.assoc i c.Runner.per_site_correspondences with Not_found -> 0)))
-    outcome.Runner.checkpoints;
+    (if sharded then [ final ] else outcome.Runner.checkpoints);
   if csv then print_endline (Ascii_table.to_csv table)
   else begin
     Format.printf "%a@." Config.pp config;
+    if sharded then
+      Printf.printf "parallel engine: %d shards, window %.1f ms, %d rounds\n"
+        (Cluster.n_domains cluster)
+        (Avdb_sim.Time.to_ms (Cluster.window cluster))
+        (Cluster.rounds cluster);
     print_endline (Ascii_table.render table);
-    let final = outcome.Runner.final in
     Printf.printf "\napplied %d / rejected %d of %d updates\n" final.Runner.applied
       final.Runner.rejected updates;
     Array.iter
@@ -302,44 +221,43 @@ let run retailers items initial updates update_class mode allocation selection g
     end
   end;
   (* Observability artifacts; a .jsonl suffix selects line-delimited JSON
-     over the default Chrome trace / CSV shape. *)
+     over the default Chrome trace / CSV shape. The Chrome and CSV shapes
+     render one shard's tracer or registry, so a sharded run always writes
+     the merged JSONL. *)
   let module Exporter = Avdb_obs.Exporter in
+  let jsonl path = sharded || Filename.check_suffix path ".jsonl" in
   Option.iter
     (fun path ->
+      let spans = Cluster.spans cluster in
       let contents =
-        if Filename.check_suffix path ".jsonl" then
-          Exporter.spans_to_jsonl (Cluster.tracer cluster)
+        if jsonl path then Exporter.spans_jsonl spans
         else Exporter.chrome_trace (Cluster.tracer cluster)
       in
       Exporter.write_file ~path contents;
-      Printf.eprintf "wrote %d spans to %s\n%!"
-        (Avdb_obs.Tracer.length (Cluster.tracer cluster))
-        path)
+      Printf.eprintf "wrote %d spans to %s\n%!" (List.length spans) path)
     trace_out;
   Option.iter
     (fun path ->
       if config.Config.snapshot_interval = None then Cluster.snapshot_now cluster;
+      let samples = Cluster.metric_samples cluster in
       let contents =
-        if Filename.check_suffix path ".jsonl" then
-          Exporter.metrics_to_jsonl (Cluster.registry cluster)
+        if jsonl path then Exporter.metrics_jsonl samples
         else
           let wide = if metrics_wide then Some true else None in
           Exporter.metrics_csv ?wide (Cluster.registry cluster)
       in
       Exporter.write_file ~path contents;
-      Printf.eprintf "wrote %d metric snapshots to %s\n%!"
-        (Avdb_obs.Registry.snapshot_count (Cluster.registry cluster))
-        path)
+      Printf.eprintf "wrote %d metric samples to %s\n%!" (List.length samples) path)
     metrics_out;
-  match recorder with
+  match recorders with
   | None -> 0
-  | Some h ->
+  | Some hs ->
       if config.Config.mode = Config.Autonomous then Cluster.flush_all_syncs cluster;
+      let history = Avdb_check.History.merge (Array.to_list hs) in
       let snapshot = Avdb_check.Checker.snapshot_of_cluster cluster in
-      let verdict = Avdb_check.Checker.check ~quiescent:true ~history:h snapshot in
+      let verdict = Avdb_check.Checker.check ~quiescent:true ~history snapshot in
       Format.printf "%a@." Avdb_check.Checker.pp_verdict verdict;
       if Avdb_check.Checker.ok verdict then 0 else 1
-  end
 
 let cmd =
   let retailers =
@@ -409,10 +327,10 @@ let cmd =
     Arg.(value & opt int 1
         & info [ "domains" ] ~docv:"N"
             ~doc:
-              "Run the simulation on $(docv) OCaml domains (parallel engine): sites are \
-               sharded across domains and stepped in conservative barrier windows of one \
-               latency lower bound. Deterministic for a given seed at any $(docv). 1 \
-               (default) is the sequential engine.")
+              "Shard the sites over $(docv) OCaml domains, stepped in conservative \
+               barrier windows of one latency lower bound. Deterministic for a given seed \
+               at any $(docv). With more than one, the table shows only the final row and \
+               artifacts are written as merged JSONL.")
   in
   let latency_ms =
     Arg.(value & opt float 1. & info [ "latency-ms" ] ~docv:"MS" ~doc:"Constant link latency.")

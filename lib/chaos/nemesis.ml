@@ -212,127 +212,14 @@ let mk_config cfg =
     seed = cfg.seed;
   }
 
-(* What [execute] needs from the system under test, abstracted over the
-   sequential cluster and the parallel (sharded) one. Scheduling is
-   site-addressed so every fault or submission lands on the engine that
-   owns its site; network knobs go through the mirrored [_at] installers;
-   the mid-run probe runs where cross-shard reads are legal (inline
-   events sequentially, the barrier hook in parallel). *)
-type driver = {
-  d_topology : Topology.t;
-  d_products : Product.t list;
-  d_site : int -> Site.t;
-  d_sites : unit -> Site.t array;
-  d_n_shards : int;
-  d_shard_of : int -> int;
-  d_engines : Engine.t array;  (* one per shard, rank order *)
-  d_at_site : int -> float -> (unit -> unit) -> unit;
-  d_partition_at : float -> int -> int -> unit;
-  d_heal_at : float -> int -> int -> unit;
-  d_drop_at : float -> float -> unit;
-  d_dup_at : float -> float -> unit;
-  d_reorder_at : float -> float -> unit;
-  d_traces : Trace.t array;
-  d_run : probe:(unit -> unit) -> unit;
-  d_flush : unit -> unit;
-  d_decision : unit -> (unit, string) result;
-  d_epoch_agreement : unit -> (unit, string) result;
-  d_unsealed : unit -> int;
-  d_check_invariants : unit -> (unit, string) result;
-  d_total_dropped : unit -> int;
-  d_snapshot : unit -> Avdb_check.Checker.snapshot;
-}
-
-let seq_driver cfg config =
-  let cluster = Cluster.create config in
-  let engine = Cluster.engine cluster in
-  let at ms f = ignore (Engine.schedule_at engine ~at:(Time.of_ms ms) f) in
-  {
-    d_topology = Cluster.topology cluster;
-    d_products = config.Config.products;
-    d_site = Cluster.site cluster;
-    d_sites = (fun () -> Cluster.sites cluster);
-    d_n_shards = 1;
-    d_shard_of = (fun _ -> 0);
-    d_engines = [| engine |];
-    d_at_site = (fun _ ms f -> at ms f);
-    d_partition_at = (fun ms a b -> at ms (fun () -> Cluster.partition cluster a b));
-    d_heal_at = (fun ms a b -> at ms (fun () -> Cluster.heal cluster a b));
-    d_drop_at = (fun ms p -> at ms (fun () -> Cluster.set_drop_probability cluster p));
-    d_dup_at = (fun ms p -> at ms (fun () -> Cluster.set_duplicate_probability cluster p));
-    d_reorder_at =
-      (fun ms p -> at ms (fun () -> Cluster.set_reorder_probability cluster p));
-    d_traces = [| Cluster.trace cluster |];
-    d_run =
-      (fun ~probe ->
-        (* Decision agreement is an any-instant invariant: probe it
-           throughout the fault phase, not just at quiescence. *)
-        let rec chain ms =
-          if ms < cfg.horizon_ms then begin
-            at ms probe;
-            chain (ms +. 100.)
-          end
-        in
-        chain 50.;
-        Cluster.run cluster);
-    d_flush = (fun () -> Cluster.flush_all_syncs cluster);
-    d_decision = (fun () -> Cluster.decision_agreement cluster);
-    d_epoch_agreement = (fun () -> Cluster.sealed_epoch_agreement cluster);
-    d_unsealed = (fun () -> Cluster.unsealed_intent_total cluster);
-    d_check_invariants = (fun () -> Cluster.check_invariants cluster);
-    d_total_dropped =
-      (fun () -> Avdb_net.Stats.total_dropped (Cluster.net_stats cluster));
-    d_snapshot = (fun () -> Avdb_check.Checker.snapshot_of_cluster cluster);
-  }
-
-let par_driver cfg config =
-  let pc = Pcluster.create config in
-  let t ms = Time.of_ms ms in
-  {
-    d_topology = Pcluster.topology pc;
-    d_products = config.Config.products;
-    d_site = Pcluster.site pc;
-    d_sites = (fun () -> Pcluster.sites pc);
-    d_n_shards = Pcluster.n_domains pc;
-    d_shard_of = Pcluster.domain_of_site pc;
-    d_engines = Pcluster.engines pc;
-    d_at_site = (fun i ms f -> Pcluster.schedule_at_site pc ~site:i ~at:(t ms) f);
-    d_partition_at = (fun ms a b -> Pcluster.partition_at pc ~at:(t ms) a b);
-    d_heal_at = (fun ms a b -> Pcluster.heal_at pc ~at:(t ms) a b);
-    d_drop_at = (fun ms p -> Pcluster.set_drop_probability_at pc ~at:(t ms) p);
-    d_dup_at = (fun ms p -> Pcluster.set_duplicate_probability_at pc ~at:(t ms) p);
-    d_reorder_at = (fun ms p -> Pcluster.set_reorder_probability_at pc ~at:(t ms) p);
-    d_traces = Pcluster.traces pc;
-    d_run =
-      (fun ~probe ->
-        (* The same ~100 ms decision-agreement cadence, clocked by the
-           barrier (the only place cross-shard reads are legal). *)
-        let next = ref 50. in
-        Pcluster.run pc ~on_round:(fun ~at ->
-            let at_ms = Time.to_ms at in
-            if at_ms >= !next && !next < cfg.horizon_ms then begin
-              probe ();
-              next := at_ms +. 100.
-            end));
-    d_flush = (fun () -> Pcluster.flush_all_syncs pc);
-    d_decision = (fun () -> Pcluster.decision_agreement pc);
-    d_epoch_agreement = (fun () -> Pcluster.sealed_epoch_agreement pc);
-    d_unsealed = (fun () -> Pcluster.unsealed_intent_total pc);
-    d_check_invariants = (fun () -> Pcluster.check_invariants pc);
-    d_total_dropped =
-      (fun () ->
-        Array.fold_left
-          (fun acc s -> acc + Avdb_net.Stats.total_dropped s)
-          0 (Pcluster.net_stats pc));
-    d_snapshot = (fun () -> Avdb_check.Checker.snapshot_of_pcluster pc);
-  }
-
 let execute cfg schedule =
   if cfg.domains > 1 && cfg.disk_faults then
     invalid_arg "Nemesis.execute: disk_faults not supported with domains > 1";
   let config = mk_config cfg in
-  let d = if cfg.domains > 1 then par_driver cfg config else seq_driver cfg config in
-  let site = d.d_site in
+  let cluster = Cluster.create config in
+  let site = Cluster.site cluster in
+  let topology = Cluster.topology cluster in
+  let at_site i ms f = Cluster.schedule_at_site cluster ~site:i ~at:(Time.of_ms ms) f in
   let violations = ref [] in
   let violate fmt =
     Format.kasprintf
@@ -343,32 +230,32 @@ let execute cfg schedule =
   in
   (* Install the fault schedule as open/close event pairs: site faults on
      the owning shard, network knobs mirrored into every shard. *)
+  let knob set ms p = set cluster ~at:(Time.of_ms ms) p in
   List.iter
     (fun f ->
       match f with
       | Crash { site = i; at_ms; for_ms } ->
-          d.d_at_site i at_ms (fun () ->
-              if not (Site.is_down (site i)) then Site.crash (site i));
-          d.d_at_site i (at_ms +. for_ms) (fun () ->
+          at_site i at_ms (fun () -> if not (Site.is_down (site i)) then Site.crash (site i));
+          at_site i (at_ms +. for_ms) (fun () ->
               if Site.is_down (site i) then Site.recover (site i))
       | Partition { a; b; at_ms; for_ms } ->
-          d.d_partition_at at_ms a b;
-          d.d_heal_at (at_ms +. for_ms) a b
+          Cluster.partition_at cluster ~at:(Time.of_ms at_ms) a b;
+          Cluster.heal_at cluster ~at:(Time.of_ms (at_ms +. for_ms)) a b
       | Drop { p; at_ms; for_ms } ->
-          d.d_drop_at at_ms p;
-          d.d_drop_at (at_ms +. for_ms) 0.
+          knob Cluster.set_drop_probability_at at_ms p;
+          knob Cluster.set_drop_probability_at (at_ms +. for_ms) 0.
       | Duplicate { p; at_ms; for_ms } ->
-          d.d_dup_at at_ms p;
-          d.d_dup_at (at_ms +. for_ms) 0.
+          knob Cluster.set_duplicate_probability_at at_ms p;
+          knob Cluster.set_duplicate_probability_at (at_ms +. for_ms) 0.
       | Reorder { p; at_ms; for_ms } ->
-          d.d_reorder_at at_ms p;
-          d.d_reorder_at (at_ms +. for_ms) 0.
+          knob Cluster.set_reorder_probability_at at_ms p;
+          knob Cluster.set_reorder_probability_at (at_ms +. for_ms) 0.
       | Disk_fault { site = i; at_ms; target; spec } ->
-          d.d_at_site i at_ms (fun () -> Site.arm_disk_fault (site i) ~target spec))
+          at_site i at_ms (fun () -> Site.arm_disk_fault (site i) ~target spec))
     schedule;
   (* The workload: the paper's SCM generator over the full mixed catalogue,
      so Delay Update (AV) and Immediate Update (2PC) both run under fire. *)
-  let products = d.d_products in
+  let products = config.Config.products in
   let items =
     Array.of_list (List.map (fun p -> (p.Product.name, p.Product.initial_amount)) products)
   in
@@ -389,10 +276,9 @@ let execute cfg schedule =
         (* partial replication: rotate each item over its own subscribers
            (base first) so no site updates an item outside its interest *)
         let subscribers item =
-          let base = Topology.base_index d.d_topology ~item in
+          let base = Topology.base_index topology ~item in
           Array.of_list
-            (base
-            :: List.filter (fun i -> i <> base) (Topology.subscribers d.d_topology ~item))
+            (base :: List.filter (fun i -> i <> base) (Topology.subscribers topology ~item))
         in
         Scm.create_sharded wl_spec ~subscribers ~seed:cfg.seed
   in
@@ -400,9 +286,8 @@ let execute cfg schedule =
      injects replica reads, so the end-of-run verdict can also judge
      linearizability, session guarantees and reachability — not just the
      aggregate invariants below. Off by default: the extra reads change the
-     message traffic, hence the exact outcome, of a given seed. In parallel
-     mode the recorder is one single-writer history per shard, merged at
-     the end. *)
+     message traffic, hence the exact outcome, of a given seed. The
+     recorder is one single-writer history per shard, merged at the end. *)
   let recorders =
     if not cfg.oracle then None
     else
@@ -412,18 +297,18 @@ let execute cfg schedule =
              let h = Avdb_check.History.create () in
              ignore (Avdb_check.History.attach_trace h tr);
              h)
-           d.d_traces)
+           (Cluster.traces cluster))
   in
   let fired = Array.make (max 1 cfg.n_ops) 0 in
   (* Per-shard counters: each op's continuation fires on the shard owning
      its submission site, so slot [shard] has a single writer. *)
-  let applied_by = Array.make d.d_n_shards 0
-  and rejected_by = Array.make d.d_n_shards 0 in
+  let n_shards = Cluster.n_domains cluster and engines = Cluster.engines cluster in
+  let applied_by = Array.make n_shards 0 and rejected_by = Array.make n_shards 0 in
   let op_interval = 0.9 *. cfg.horizon_ms /. float_of_int (max 1 cfg.n_ops) in
   for i = 0 to cfg.n_ops - 1 do
     let s, item, delta = Scm.generator wl i in
-    let shard = d.d_shard_of s in
-    d.d_at_site s
+    let shard = Cluster.domain_of_site cluster s in
+    at_site s
       (float_of_int i *. op_interval)
       (fun () ->
         let k r =
@@ -434,7 +319,7 @@ let execute cfg schedule =
         match recorders with
         | Some hs ->
             Avdb_check.History.submit_update hs.(shard)
-              ~engine:d.d_engines.(shard) (site s) ~item ~delta k
+              ~engine:engines.(shard) (site s) ~item ~delta k
         | None -> Site.submit_update (site s) ~item ~delta k)
   done;
   (match recorders with
@@ -451,17 +336,17 @@ let execute cfg schedule =
         let s = Rng.int rrng cfg.n_sites in
         let item, _ = items.(Rng.int rrng (Array.length items)) in
         let auth = Rng.int rrng 3 = 0 in
-        let shard = d.d_shard_of s in
-        let h = hs.(shard) and engine = d.d_engines.(shard) in
-        d.d_at_site s ms (fun () ->
+        let shard = Cluster.domain_of_site cluster s in
+        let h = hs.(shard) and engine = engines.(shard) in
+        at_site s ms (fun () ->
             if not (Site.is_down (site s)) then
               if auth then begin
                 (* a quarantined base answers None by design (availability
                    lost, not staleness) — skip it, like a down site. The
                    base may live on another shard, but quarantine requires
-                   disk faults, which are sequential-only: the guard's
-                   cross-shard read is short-circuited in parallel mode. *)
-                let base = Topology.base_index d.d_topology ~item in
+                   disk faults, which are one-shard only: the guard's
+                   cross-shard read is short-circuited on several shards. *)
+                let base = Topology.base_index topology ~item in
                 if not (cfg.disk_faults && Site.is_quarantined (site base) ~item) then
                   Avdb_check.History.read_authoritative h ~engine (site s) ~item
                     (fun _ -> ())
@@ -469,29 +354,39 @@ let execute cfg schedule =
               else if
                 (* a local read at a non-subscriber answers None by design,
                    not staleness — route session checks to replica holders *)
-                Topology.interested d.d_topology ~site:s ~item
+                Topology.interested topology ~site:s ~item
                 && not (cfg.disk_faults && Site.is_quarantined (site s) ~item)
               then ignore (Avdb_check.History.read_local h ~engine (site s) ~item))
       done);
   (* Horizon: heal the world, then drain to quiescence. Knobs and heals go
      through the mirrored installers; recovery runs on each owning shard. *)
-  d.d_drop_at cfg.horizon_ms 0.;
-  d.d_dup_at cfg.horizon_ms 0.;
-  d.d_reorder_at cfg.horizon_ms 0.;
+  knob Cluster.set_drop_probability_at cfg.horizon_ms 0.;
+  knob Cluster.set_duplicate_probability_at cfg.horizon_ms 0.;
+  knob Cluster.set_reorder_probability_at cfg.horizon_ms 0.;
   for a = 0 to cfg.n_sites - 1 do
     for b = a + 1 to cfg.n_sites - 1 do
-      d.d_heal_at cfg.horizon_ms a b
+      Cluster.heal_at cluster ~at:(Time.of_ms cfg.horizon_ms) a b
     done
   done;
   for i = 0 to cfg.n_sites - 1 do
-    d.d_at_site i cfg.horizon_ms (fun () ->
-        if Site.is_down (site i) then Site.recover (site i))
+    at_site i cfg.horizon_ms (fun () -> if Site.is_down (site i) then Site.recover (site i))
   done;
-  d.d_run ~probe:(fun () ->
-      match d.d_decision () with
-      | Ok () -> ()
-      | Error e -> violate "mid-run decision agreement: %s" e);
-  let sites = d.d_sites () in
+  (* Decision agreement is an any-instant invariant: probe it every 100 ms
+     throughout the fault phase, not just at quiescence. *)
+  let probe () =
+    match Cluster.decision_agreement cluster with
+    | Ok () -> ()
+    | Error e -> violate "mid-run decision agreement: %s" e
+  in
+  let rec probes ms =
+    if ms < cfg.horizon_ms then begin
+      Cluster.probe_at cluster ~at:(Time.of_ms ms) probe;
+      probes (ms +. 100.)
+    end
+  in
+  probes 50.;
+  Cluster.run cluster;
+  let sites = Cluster.sites cluster in
   let item_names = List.map (fun p -> p.Product.name) products in
   (* A replica that stayed quarantined after a storage fault (e.g. its
      repair donor rotation never completed) is excluded from convergence:
@@ -503,7 +398,7 @@ let execute cfg schedule =
       (fun i ->
         if Site.is_quarantined (site i) ~item then None
         else Site.amount_of (site i) ~item)
-      (Topology.subscribers d.d_topology ~item)
+      (Topology.subscribers topology ~item)
   in
   let converged item =
     match healthy_amounts item with
@@ -515,11 +410,11 @@ let execute cfg schedule =
      flush pass re-broadcasts seals to laggards and pump-steps buffered
      intents, so the loop drains both kinds of backlog. *)
   while
-    ((not (List.for_all converged item_names)) || d.d_unsealed () > 0)
+    ((not (List.for_all converged item_names)) || Cluster.unsealed_intent_total cluster > 0)
     && !attempts < 40
   do
     incr attempts;
-    d.d_flush ()
+    Cluster.flush_all_syncs cluster
   done;
   (* --- the invariants --- *)
   Array.iteri
@@ -528,7 +423,7 @@ let execute cfg schedule =
         if n = 0 then violate "op %d never settled" i
         else if n > 1 then violate "op %d fired %d times (double-fired continuation)" i n)
     fired;
-  (match d.d_decision () with
+  (match Cluster.decision_agreement cluster with
   | Ok () -> ()
   | Error e -> violate "final decision agreement: %s" e);
   (* A protocol-log entry on a still-quarantined item is exempt: the
@@ -549,10 +444,10 @@ let execute cfg schedule =
   if in_doubt > 0 then violate "%d transactions still in doubt at quiescence" in_doubt;
   (* Epoch-quorum commit: every subscriber must hold identical sealed
      prefixes, and no logged intent may remain unsealed at quiescence. *)
-  (match d.d_epoch_agreement () with
+  (match Cluster.sealed_epoch_agreement cluster with
   | Ok () -> ()
   | Error e -> violate "sealed epoch agreement: %s" e);
-  let unsealed = d.d_unsealed () in
+  let unsealed = Cluster.unsealed_intent_total cluster in
   if unsealed > 0 then violate "%d epoch intents still unsealed at quiescence" unsealed;
   List.iter
     (fun item ->
@@ -592,7 +487,7 @@ let execute cfg schedule =
       deficit leaked;
   (* With no leak the stricter whole-system check applies verbatim. *)
   if leaked = 0 then begin
-    match d.d_check_invariants () with
+    match Cluster.check_invariants cluster with
     | Ok () -> ()
     | Error e -> violate "check_invariants: %s" e
   end;
@@ -606,7 +501,7 @@ let execute cfg schedule =
         | [ h ] -> h
         | hs -> Avdb_check.History.merge hs
       in
-      let snapshot = d.d_snapshot () in
+      let snapshot = Avdb_check.Checker.snapshot_of_cluster cluster in
       let verdict = Avdb_check.Checker.check ~quiescent:true ~history:h snapshot in
       oracle_entries := verdict.Avdb_check.Checker.stats.Avdb_check.Checker.n_entries;
       List.iter
@@ -628,7 +523,11 @@ let execute cfg schedule =
       decision_rebroadcasts =
         sum_metric (fun m -> m.Update.Metrics.decision_rebroadcasts);
       leaked_av = max 0 leaked;
-      messages_dropped = d.d_total_dropped ();
+      messages_dropped =
+        Array.fold_left
+          (fun acc s -> acc + Avdb_net.Stats.total_dropped s)
+          0
+          (Cluster.net_stats_by_shard cluster);
       oracle_entries = !oracle_entries;
       epochs_sealed = sum_metric (fun m -> m.Update.Metrics.epochs_sealed);
       epoch_takeovers = sum_metric (fun m -> m.Update.Metrics.epoch_takeovers);

@@ -92,17 +92,16 @@ type config = {
           cost availability and repair traffic, never consistency. Off by
           default. *)
   domains : int;
-      (** run the system under test on the parallel engine
-          ({!Avdb_core.Pcluster}) with this many OCaml domains. Site
-          faults are scheduled onto their owning shards, network knobs
-          are mirrored into every shard at the same virtual instant, the
-          decision-agreement probe runs at barriers, and oracle mode
-          records one history per shard and merges them
+      (** shard the system under test over this many OCaml domains
+          ([Config.domains]). Site faults are scheduled onto their owning
+          shards, network knobs are mirrored into every shard at the same
+          virtual instant, the decision-agreement probe runs at the first
+          barrier at or after its instant ({!Avdb_core.Cluster.probe_at}),
+          and oracle mode records one history per shard and merges them
           ({!Avdb_check.History.merge}). Deterministic for a fixed
-          (config, schedule), like the sequential harness — but a given
-          seed's outcome differs between [domains = 1] (the sequential
-          {!Avdb_core.Cluster}) and [domains > 1] (different latency
-          draws). [domains > 1] rejects [disk_faults] (the quarantine
+          (config, schedule) at any domain count — but a given seed's
+          outcome differs between [domains = 1] and [domains > 1]
+          (different latency draws). [domains > 1] rejects [disk_faults] (the quarantine
           read guards cross shards mid-run). Default 1. *)
 }
 

@@ -11,7 +11,9 @@ type snapshot = {
   amnesiac : int list;
 }
 
-let snapshot_of_parts ~config ~topology ~sites =
+let snapshot_of_cluster cluster =
+  let config = Cluster.config cluster and topology = Cluster.topology cluster in
+  let sites = Cluster.sites cluster in
   let site i = sites.(i) in
   let products = config.Config.products in
   let subscribers item = Topology.subscribers topology ~item in
@@ -82,17 +84,8 @@ let snapshot_of_parts ~config ~topology ~sites =
   in
   { mode = config.Config.mode; products; replicas; bases; books; granted; received; amnesiac }
 
-let snapshot_of_cluster cluster =
-  snapshot_of_parts
-    ~config:(Cluster.config cluster)
-    ~topology:(Cluster.topology cluster)
-    ~sites:(Cluster.sites cluster)
-
-let snapshot_of_pcluster pcluster =
-  snapshot_of_parts
-    ~config:(Pcluster.config pcluster)
-    ~topology:(Pcluster.topology pcluster)
-    ~sites:(Pcluster.sites pcluster)
+(* Kept only because perfbench/ compiles against it. *)
+let snapshot_of_pcluster = snapshot_of_cluster
 
 type violation =
   | Double_response of { entry : History.entry }

@@ -80,16 +80,10 @@ val snapshot_of_cluster : Avdb_core.Cluster.t -> snapshot
 (** Reads replicas, AV ledgers and grant-flow counters from a cluster —
     take it at quiescence (after {!Avdb_core.Cluster.flush_all_syncs}). *)
 
-val snapshot_of_pcluster : Avdb_core.Pcluster.t -> snapshot
-(** Same, over a parallel cluster — quiescent-only (the domains must
-    have joined; take it after {!Avdb_core.Pcluster.flush_all_syncs}). *)
-
-val snapshot_of_parts :
-  config:Avdb_core.Config.t ->
-  topology:Avdb_core.Topology.t ->
-  sites:Avdb_core.Site.t array ->
-  snapshot
-(** The generic form both of the above delegate to. *)
+val snapshot_of_pcluster : Avdb_core.Cluster.t -> snapshot
+(** {!snapshot_of_cluster} under its former multi-domain name, kept only
+    because perfbench/ compiles against it; the next benchmark change
+    deletes it. *)
 
 (** {2 Verdict} *)
 

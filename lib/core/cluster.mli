@@ -1,23 +1,52 @@
-(** Builds and owns a whole simulated system (Fig. 2): one engine, one
-    network, site 0 as the base (maker) plus retailers, with the product
-    catalogue replicated to every local database "initially from the base"
-    and the initial AV distributed per the configured allocation. *)
+(** Builds and owns a whole simulated system (Fig. 2): site 0 as the base
+    (maker) plus retailers, with the product catalogue replicated to every
+    local database "initially from the base" and the initial AV
+    distributed per the configured allocation.
+
+    {b Shards.} The sites are split into [config.domains] shards (clamped
+    to the site count) by {!Placement}. Each shard owns a complete
+    single-domain stack — engine, RPC, trace, tracer, metrics registry —
+    and the only cross-shard traffic is a lock-free mailbox of routed
+    network messages. With one shard (the default) {!run} is a plain
+    {!Avdb_sim.Engine.run}. With several, {!run} executes the shards on
+    as many OCaml domains with {!Avdb_sim.Parallel}, in conservative
+    barrier-stepped windows of one latency lower bound, and the mailboxes
+    are drained at the barriers.
+
+    {b Determinism.} Shard seeds, the window grid and the rank-ordered
+    mailbox drain are pure functions of (config, topology): a same-seed
+    run yields byte-identical state and exports at any real-time
+    interleaving of the domains. Shard 0 keeps the config seed.
+
+    {b Threading contract.} Everything in this interface must be called
+    with the shards quiescent — before the first {!run}, between runs, or
+    from a {!probe_at} hook. Only the event handlers the shards execute
+    (and the closures scheduled with {!schedule_at_site}) run on other
+    domains, and each may touch only its own shard's sites and state.
+
+    The single-shard accessors ({!engine}, {!net_stats}, {!trace},
+    {!tracer}, {!registry}) and {!add_retailer} raise [Invalid_argument]
+    on a cluster with several shards. *)
 
 type t
 
 val create : Config.t -> t
-(** Raises [Invalid_argument] if {!Config.validate} fails. Always builds
-    the sequential (single-domain) system; [config.domains] is ignored
-    here — callers that honour it construct a {!Pcluster} instead. *)
-
-val av_init_for : Config.t -> Topology.t -> site_index:int -> (string * int) list
-(** The initial AV ledger for one site under the configured allocation:
-    its slice of every regular item in its interest set (the remainder of
-    an uneven split goes to the base). Shared with {!Pcluster} so both
-    engines seed identical ledgers. *)
+(** Raises [Invalid_argument] if {!Config.validate} fails. *)
 
 val config : t -> Config.t
-val engine : t -> Avdb_sim.Engine.t
+
+val topology : t -> Topology.t
+(** The resolved shared topology: per-item bases, interest sets, AV
+    hierarchy. *)
+
+val placement : t -> Placement.t
+
+val n_domains : t -> int
+(** The shard count after clamping. *)
+
+val window : t -> Avdb_sim.Time.t
+(** The lookahead window of a multi-shard run (the latency lower
+    bound). *)
 
 val sites : t -> Site.t array
 (** A copy of the current membership, in site order. *)
@@ -31,10 +60,7 @@ val base_site_for : t -> item:string -> Site.t
 (** The item's base (primary) site under the configured topology. *)
 
 val n_sites : t -> int
-
-val topology : t -> Topology.t
-(** The resolved shared topology: per-item bases, interest sets, AV
-    hierarchy. *)
+val domain_of_site : t -> int -> int
 
 val subscribers : t -> item:string -> int list
 (** Sorted indices of the sites replicating the item (base included);
@@ -42,36 +68,88 @@ val subscribers : t -> item:string -> int list
 
 val interested : t -> site:int -> item:string -> bool
 
+val now : t -> Avdb_sim.Time.t
+(** The common virtual clock (all shard clocks are aligned whenever the
+    shards are quiescent). *)
+
 val run : ?until:Avdb_sim.Time.t -> t -> unit
-(** Drains the event queue (bounded by [until] if given). *)
+(** Drains the event queues (bounded by [until] if given). On one shard
+    the periodic snapshot ([snapshot_interval]) runs {!snapshot_now} in
+    the event chain. On several, each shard samples its own registry in
+    its event chain, the invariant probes run at barriers on the same
+    cadence, and every run ends with one more probe pass. *)
+
+val probe_at : t -> at:Avdb_sim.Time.t -> (unit -> unit) -> unit
+(** Runs [f] at virtual time [at] at a point where every shard may be
+    read. On one shard it is an ordinary event at [at]. On several it runs
+    at the first barrier at or after [at], or at the end of the {!run}
+    that drains before reaching it. *)
+
+val rounds : t -> int
+(** Windows executed by the last multi-shard {!run} (0 on one shard). *)
+
+val probes_run : t -> int
+(** Invariant-probe passes executed so far. *)
+
+val schedule_at_site : t -> site:int -> at:Avdb_sim.Time.t -> (unit -> unit) -> unit
+(** Schedules a closure on the shard owning [site] at virtual time [at];
+    it must only touch that shard's state. *)
+
+val engine : t -> Avdb_sim.Engine.t
+(** Single-shard only. *)
+
+val engines : t -> Avdb_sim.Engine.t array
+(** Per-shard engines in rank order. Scheduling on shard [r]'s engine is
+    safe only from that shard's own event handlers, or with the shards
+    quiescent. *)
 
 val net_stats : t -> Avdb_net.Stats.t
+(** Single-shard only. *)
+
+val net_stats_by_shard : t -> Avdb_net.Stats.t array
+(** Per-shard network stats. A site's sends count on its own shard and
+    its deliveries on the receiving shard. *)
 
 val trace : t -> Avdb_sim.Trace.t
-(** The shared structured trace: sites record AV transfers ("av"),
-    Immediate Update decisions ("2pc") and crash/recovery ("fault"). *)
+(** Single-shard only: the structured trace; sites record AV transfers
+    ("av"), Immediate Update decisions ("2pc") and crash/recovery
+    ("fault"). *)
+
+val traces : t -> Avdb_sim.Trace.t array
+
+val trace_events :
+  ?category:string -> ?min_level:Avdb_sim.Trace.level -> t -> Avdb_sim.Trace.event list
+(** All shards' trace events merged by timestamp (stable by shard). *)
 
 (** {2 Observability} *)
 
 val tracer : t -> Avdb_obs.Tracer.t
-(** The shared causal span collector: update roots ("update"), AV
-    acquisition and grants ("av"), RPC call/serve pairs linked across the
-    wire ("rpc"), 2PC phases ("2pc"), lazy sync ("sync"), faults ("fault"),
-    invariant violations ("invariant"). Export with {!Avdb_obs.Exporter}. *)
+(** Single-shard only: the causal span collector — update roots
+    ("update"), AV acquisition and grants ("av"), RPC call/serve pairs
+    linked across the wire ("rpc"), 2PC phases ("2pc"), lazy sync
+    ("sync"), faults ("fault"), invariant violations ("invariant").
+    Export with {!Avdb_obs.Exporter}. *)
+
+val spans : t -> Avdb_obs.Span.t list
+(** Every shard's retained spans: on one shard in creation order, on
+    several merged by [(start, id)] — byte-stable across same-seed runs
+    thanks to per-shard id striding. *)
 
 val registry : t -> Avdb_obs.Registry.t
-(** The unified metrics registry: every site's update counters, AV flow
-    volumes and per-item AV levels, plus per-site network stats — all
-    registered at construction and sampled by {!snapshot_now} or the
-    periodic snapshot when [snapshot_interval] is configured. *)
+(** Single-shard only: the unified metrics registry — every site's update
+    counters, AV flow volumes and per-item AV levels, plus per-site
+    network stats — sampled by {!snapshot_now} or the periodic snapshot
+    when [snapshot_interval] is configured. *)
+
+val metric_samples : t -> Avdb_obs.Registry.sample list
+(** Every shard's registry samples, merged chronologically. *)
 
 val snapshot_now : t -> unit
 (** Runs the invariant probes (AV conservation per regular item — skipped
     while grant responses are in flight — and network stats conservation),
     recording any violation as a Warn span, a Warn trace event and a bump
-    of the ["invariant.violations"] counter; then appends one sample of
-    every registered metric at the current sim-time. The periodic snapshot
-    calls exactly this. *)
+    of the ["invariant.violations"] counter on shard 0; then appends one
+    sample of every registered metric at the current sim-time. *)
 
 val total_correspondences : t -> int
 (** Sum of per-site RPC correspondences (the paper's metric). *)
@@ -93,19 +171,27 @@ val flush_all_syncs : t -> unit
 
 val add_retailer :
   ?interest:string list -> t -> (int * (unit, Update.reason) result -> unit) -> int
-(** Adds a retailer to the {e live} system: declares its interest set to
-    the shared topology, registers it on the network, bootstraps its local
-    database from the (interest-scoped) catalogue with zero AV, and
-    asynchronously fetches current data and sync state from each interest
-    item's base ({!Site.join}). Returns the new site index immediately;
-    the callback fires with the join outcome once the snapshot round-trips
-    complete (run the cluster). The newcomer acquires AV on demand through
-    ordinary circulation. [interest] defaults to
-    {!Topology.default_joiner_interest} (the whole catalogue under full
-    replication). The membership event is O(|interest|): no address-list
-    copy, no broadcast to existing sites, amortised O(1) appends. *)
+(** Single-shard only. Adds a retailer to the {e live} system: declares
+    its interest set to the shared topology, registers it on the network,
+    bootstraps its local database from the (interest-scoped) catalogue
+    with zero AV, and asynchronously fetches current data and sync state
+    from each interest item's base ({!Site.join}). Returns the new site
+    index immediately; the callback fires with the join outcome once the
+    snapshot round-trips complete (run the cluster). The newcomer
+    acquires AV on demand through ordinary circulation. [interest]
+    defaults to {!Topology.default_joiner_interest} (the whole catalogue
+    under full replication). The membership event is O(|interest|): no
+    address-list copy, no broadcast to existing sites, amortised O(1)
+    appends. *)
 
-(** {2 Fault injection} *)
+(** {2 Fault injection}
+
+    Network knobs are sender-side state: each call mirrors the change
+    into every shard's network. The immediate variants apply now; the
+    [_at] variants install the change at one virtual instant on every
+    shard, for fault schedules armed before a run. Crash or recover a
+    site by scheduling {!Site.crash} / {!Site.recover} with
+    {!schedule_at_site}. *)
 
 val partition : t -> int -> int -> unit
 (** Cuts both directions between two sites (by index). *)
@@ -118,6 +204,11 @@ val set_drop_probability : t -> float -> unit
 
 val set_duplicate_probability : t -> float -> unit
 val set_reorder_probability : t -> float -> unit
+val partition_at : t -> at:Avdb_sim.Time.t -> int -> int -> unit
+val heal_at : t -> at:Avdb_sim.Time.t -> int -> int -> unit
+val set_drop_probability_at : t -> at:Avdb_sim.Time.t -> float -> unit
+val set_duplicate_probability_at : t -> at:Avdb_sim.Time.t -> float -> unit
+val set_reorder_probability_at : t -> at:Avdb_sim.Time.t -> float -> unit
 
 (** {2 Whole-system introspection for invariant checks} *)
 

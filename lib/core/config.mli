@@ -120,10 +120,10 @@ type t = {
       (** pacing of corruption-repair donor retries and pending-transaction
           watch polls after a storage fault. Must be positive. *)
   domains : int;
-      (** how many OCaml domains execute the simulation (≥ 1, default 1).
-          [1] is the sequential engine. [> 1] selects the parallel engine
-          ({!Pcluster}): sites are sharded across domains by
-          {!Placement}, each domain runs its own event queue, and shards
+      (** how many shards, each on its own OCaml domain, {!Cluster}
+          splits the sites into (≥ 1, default 1). With [> 1] the sites
+          are placed by {!Placement}, each shard runs its own event
+          queue, and shards
           synchronise in conservative barrier-stepped windows derived
           from the latency lower bound — which must therefore be
           positive ({!Avdb_net.Latency.lower_bound}); validation rejects

@@ -1,420 +1,8 @@
-(* The parallel (multi-domain) cluster: the same simulated system as
-   {!Cluster}, with the sites sharded across OCaml domains by
-   {!Placement} and executed by {!Avdb_sim.Parallel} in conservative
-   barrier-stepped windows.
+(* The multi-domain cluster's former name. [Cluster] now shards by
+   [config.domains] itself; this alias stays only because perfbench/
+   compiles against it and changes only with the benchmark. The next
+   benchmark change moves perfbench onto [Cluster] and deletes this file. *)
 
-   Each shard is a self-contained single-domain world — engine, RPC
-   stack, trace, tracer, metrics registry — so no hot-path state is ever
-   shared between domains. The only cross-domain traffic is the
-   lock-free mailbox of routed network messages: a send whose
-   destination lives on another shard computes its full delivery instant
-   sender-side (latency draw, bandwidth, loss/duplication/reordering,
-   FIFO clamp — all against the sender shard's link state and RNG) and
-   pushes the envelope into the owner's inbox; the owner schedules it
-   while draining at the next barrier. The lookahead window equals the
-   latency lower bound, so a routed message can never land in the
-   receiver's past.
+include Cluster
 
-   Determinism: shard seeds, the window grid and the rank-ordered
-   mailbox drain are all pure functions of (config, topology), so a
-   same-seed run produces byte-identical state and exports at any domain
-   interleaving. With the default constant latency and no fault
-   injection it also reproduces the sequential cluster's outcomes
-   exactly: the per-site RNG streams differ, but no default-strategy
-   code path consumes them in a behaviour-affecting way. *)
-
-open Avdb_sim
-open Avdb_net
-module Obs_registry = Avdb_obs.Registry
-module Tracer = Avdb_obs.Tracer
-
-type envelope = (Protocol.request, Protocol.response, Protocol.notice) Rpc.envelope
-
-(* A routed message at rest in a mailbox: delivery instant and addresses
-   resolved sender-side, re-checked (dst down, partition) at delivery. *)
-type xmsg = { x_at : Time.t; x_src : Address.t; x_dst : Address.t; x_env : envelope }
-
-type shard = {
-  rank : int;
-  engine : Engine.t;
-  rpc : (Protocol.request, Protocol.response, Protocol.notice) Rpc.t;
-  trace : Trace.t;
-  tracer : Tracer.t;
-  registry : Obs_registry.t;
-  violations : Obs_registry.counter;
-  inbox : xmsg Mailbox.t;
-  mutable senders : xmsg Mailbox.sender array;
-      (** [senders.(d)]: this shard's push handle into shard [d]'s inbox;
-          only touched by the domain currently running this shard *)
-  site_ixs : int array;
-  mutable snapshots_armed : bool;
-}
-
-type t = {
-  config : Config.t;
-  topology : Topology.t;
-  placement : Placement.t;
-  shards : shard array;
-  store : Site.t array;  (* by global site index *)
-  window : Time.t;
-  mutable next_probe : Time.t;
-  mutable probes_run : int;
-  mutable last_stats : Parallel.stats option;
-}
-
-(* Decorrelate the shard engines' RNG streams; shard 0 keeps the config
-   seed so a single-domain Pcluster replays the sequential cluster. *)
-let shard_seed config rank = config.Config.seed lxor (rank * 0x2545F4914F6CDD1D)
-
-let create config =
-  (match Config.validate config with
-  | Ok () -> ()
-  | Error e -> invalid_arg ("Pcluster.create: " ^ e));
-  let items = List.map (fun p -> p.Product.name) config.Config.products in
-  let topology =
-    Topology.create config.Config.topology ~n_sites:config.Config.n_sites ~items
-  in
-  let placement = Placement.create topology ~n_domains:config.Config.domains ~items in
-  let n_domains = Placement.n_domains placement in
-  let lb = Latency.lower_bound config.Config.latency in
-  let window = if Time.compare lb Time.zero > 0 then lb else Time.of_ms 1. in
-  let shards =
-    Array.init n_domains (fun rank ->
-        let engine = Engine.create ~seed:(shard_seed config rank) () in
-        let tracer =
-          Tracer.create ~enabled:config.Config.tracing
-            ~sample_rate:config.Config.trace_sample ?slow:config.Config.trace_slow
-            ~seed:config.Config.seed ~id_base:rank ~id_stride:n_domains ()
-        in
-        let rpc =
-          Rpc.create ~engine ~latency:config.Config.latency
-            ~drop_probability:config.Config.drop_probability
-            ~duplicate_probability:config.Config.duplicate_probability
-            ~reorder_probability:config.Config.reorder_probability
-            ?bandwidth_bytes_per_sec:config.Config.bandwidth_bytes_per_sec
-            ~default_timeout:config.Config.rpc_timeout
-            ~request_size:Protocol.wire_size_request
-            ~response_size:Protocol.wire_size_response
-            ~notice_size:Protocol.wire_size_notice ~tracer
-            ~request_label:Protocol.request_label ()
-        in
-        let registry = Obs_registry.create ~retention:config.Config.metrics_retention () in
-        {
-          rank;
-          engine;
-          rpc;
-          trace = Trace.create ();
-          tracer;
-          registry;
-          violations = Obs_registry.counter registry "invariant.violations";
-          inbox = Mailbox.create ();
-          senders = [||];
-          site_ixs = Placement.sites_of placement rank;
-          snapshots_armed = false;
-        })
-  in
-  Array.iter
-    (fun sh ->
-      sh.senders <-
-        Array.map (fun peer -> Mailbox.sender peer.inbox ~rank:sh.rank) shards)
-    shards;
-  (* Cross-shard routing: a send to a site owned elsewhere resolves to a
-     push into the owner's inbox. *)
-  Array.iter
-    (fun sh ->
-      Network.set_remote_route (Rpc.network sh.rpc) (fun dst ->
-          let di = Address.to_int dst in
-          if di < 0 || di >= config.Config.n_sites then None
-          else
-            let owner = Placement.domain_of placement di in
-            if owner = sh.rank then None
-            else
-              Some
-                (fun ~at ~src env ->
-                  Mailbox.push sh.senders.(owner)
-                    { x_at = at; x_src = src; x_dst = dst; x_env = env })))
-    shards;
-  (* Sites, in global index order (per shard this is ascending site
-     order — each shard's creation only draws from its own engine). *)
-  let store =
-    Array.init config.Config.n_sites (fun site_index ->
-        let sh = shards.(Placement.domain_of placement site_index) in
-        let shared =
-          {
-            Site.engine = sh.engine;
-            rpc = sh.rpc;
-            config;
-            topology;
-            n_members = config.Config.n_sites;
-            trace = sh.trace;
-            tracer = sh.tracer;
-          }
-        in
-        Site.create shared
-          ~addr:(Address.of_int site_index)
-          ~av_init:(Cluster.av_init_for config topology ~site_index))
-  in
-  let t =
-    {
-      config;
-      topology;
-      placement;
-      shards;
-      store;
-      window;
-      next_probe = Time.zero;
-      probes_run = 0;
-      last_stats = None;
-    }
-  in
-  Array.iter
-    (fun sh ->
-      Site_metrics.register_aggregates ~registry:sh.registry ~tracer:sh.tracer
-        ~iter_sites:(fun f -> Array.iter (fun i -> f store.(i)) sh.site_ixs);
-      Array.iter
-        (fun i ->
-          Site_metrics.register_site ~registry:sh.registry ~engine:sh.engine ~config
-            ~topology ~net_stats:(Rpc.stats sh.rpc)
-            ~resolve:(fun peer ->
-              (* snapshots are per-shard: never read across a domain *)
-              if
-                peer >= 0
-                && peer < Array.length store
-                && Placement.domain_of placement peer = sh.rank
-              then Some store.(peer)
-              else None)
-            store.(i))
-        sh.site_ixs)
-    shards;
-  t
-
-let config t = t.config
-let topology t = t.topology
-let placement t = t.placement
-let n_domains t = Array.length t.shards
-let n_sites t = Array.length t.store
-let window t = t.window
-let sites t = Array.copy t.store
-
-let site t i =
-  if i < 0 || i >= Array.length t.store then invalid_arg "Pcluster.site: index out of range";
-  t.store.(i)
-
-let domain_of_site t i =
-  if i < 0 || i >= Array.length t.store then
-    invalid_arg "Pcluster.domain_of_site: index out of range";
-  Placement.domain_of t.placement i
-
-let shard_of_site t i = t.shards.(domain_of_site t i)
-
-let now t = Engine.now t.shards.(0).engine
-
-let rounds t = match t.last_stats with Some s -> s.Parallel.rounds | None -> 0
-
-let subscribers t ~item = Topology.subscribers t.topology ~item
-let interested t ~site ~item = Topology.interested t.topology ~site ~item
-let base_site_for t ~item = t.store.(Topology.base_index t.topology ~item)
-
-(* --- scheduling onto shard engines (only between runs, or for events
-   armed before a run) --- *)
-
-let schedule_at_site t ~site ~at f =
-  ignore (Engine.schedule_at (shard_of_site t site).engine ~at f)
-
-let schedule_all t ~at f =
-  Array.iter
-    (fun sh -> ignore (Engine.schedule_at sh.engine ~at (fun () -> f ~shard:sh.rank)))
-    t.shards
-
-(* --- fault injection: network knobs are sender-side state, so every
-   shard's network mirrors them; the [_at] variants install the change
-   at the same virtual instant on every shard, which the common window
-   grid turns into an atomic cross-shard event. --- *)
-
-let each_net t f = Array.iter (fun sh -> f (Rpc.network sh.rpc)) t.shards
-
-let at_each_net t ~at f =
-  Array.iter
-    (fun sh -> ignore (Engine.schedule_at sh.engine ~at (fun () -> f (Rpc.network sh.rpc))))
-    t.shards
-
-let partition t i j =
-  each_net t (fun n -> Network.partition n (Address.of_int i) (Address.of_int j))
-
-let heal t i j = each_net t (fun n -> Network.heal n (Address.of_int i) (Address.of_int j))
-let set_drop_probability t p = each_net t (fun n -> Network.set_drop_probability n p)
-
-let set_duplicate_probability t p =
-  each_net t (fun n -> Network.set_duplicate_probability n p)
-
-let set_reorder_probability t p = each_net t (fun n -> Network.set_reorder_probability n p)
-
-let partition_at t ~at i j =
-  at_each_net t ~at (fun n -> Network.partition n (Address.of_int i) (Address.of_int j))
-
-let heal_at t ~at i j =
-  at_each_net t ~at (fun n -> Network.heal n (Address.of_int i) (Address.of_int j))
-
-let set_drop_probability_at t ~at p =
-  at_each_net t ~at (fun n -> Network.set_drop_probability n p)
-
-let set_duplicate_probability_at t ~at p =
-  at_each_net t ~at (fun n -> Network.set_duplicate_probability n p)
-
-let set_reorder_probability_at t ~at p =
-  at_each_net t ~at (fun n -> Network.set_reorder_probability n p)
-
-(* --- observability --- *)
-
-let engines t = Array.map (fun sh -> sh.engine) t.shards
-let net_stats t = Array.map (fun sh -> Rpc.stats sh.rpc) t.shards
-let traces t = Array.map (fun sh -> sh.trace) t.shards
-let tracers t = Array.map (fun sh -> sh.tracer) t.shards
-let registries t = Array.map (fun sh -> sh.registry) t.shards
-
-let trace_events ?category ?min_level t =
-  Trace.merged_events ?category ?min_level (Array.to_list (traces t))
-
-let spans t = Tracer.merged_spans (Array.to_list (tracers t))
-let metric_samples t = Obs_registry.merged_samples (Array.to_list (registries t))
-
-let total_correspondences t =
-  Array.fold_left (fun acc s -> acc + Stats.total_correspondences s) 0 (net_stats t)
-
-(* A site's sends count on its own shard's stats and its receives on the
-   delivering shard's, so per-site rows merge by summing across shards. *)
-let per_site_correspondences t =
-  let acc = Hashtbl.create 64 in
-  Array.iter
-    (fun stats ->
-      List.iter
-        (fun (a, s) ->
-          let i = Address.to_int a in
-          let prev = Option.value (Hashtbl.find_opt acc i) ~default:0 in
-          Hashtbl.replace acc i (prev + s.Stats.correspondences))
-        (Stats.sites stats))
-    (net_stats t);
-  Hashtbl.fold (fun i c rows -> (i, c) :: rows) acc [] |> List.sort compare
-
-let live_words_per_site t =
-  Array.to_list (Array.mapi (fun i s -> (i, Site.live_words s)) t.store)
-
-(* --- invariant probes (barrier-only: they read across shards) --- *)
-
-let iter_sites t f = Array.iter f t.store
-
-let violation t name detail =
-  let sh = t.shards.(0) in
-  Obs_registry.inc sh.violations 1;
-  Trace.record sh.trace ~at:(Engine.now sh.engine) ~level:Trace.Warn ~category:"invariant"
-    detail;
-  ignore
-    (Tracer.instant sh.tracer ~at:(Engine.now sh.engine) ~status:Avdb_obs.Span.Warn
-       ~fields:[ ("detail", detail) ]
-       ~category:"invariant" name)
-
-let run_probes t =
-  t.probes_run <- t.probes_run + 1;
-  let pending =
-    Array.fold_left (fun acc sh -> acc + Rpc.pending_calls sh.rpc) 0 t.shards
-  in
-  if t.config.Config.mode = Config.Autonomous && pending = 0 then
-    List.iter
-      (fun product ->
-        if Product.is_regular product then
-          match
-            System_checks.av_conservation ~topology:t.topology
-              ~site:(fun i -> t.store.(i))
-              ~item:product.Product.name
-          with
-          | Ok () -> ()
-          | Error msg -> violation t "invariant.av_conservation" msg)
-      t.config.Config.products;
-  match System_checks.net_conservation (Array.to_list (net_stats t)) with
-  | Ok () -> ()
-  | Error msg -> violation t "invariant.net_conservation" msg
-
-let snapshot_now t =
-  run_probes t;
-  Array.iter (fun sh -> Obs_registry.snapshot sh.registry ~at:(Engine.now sh.engine)) t.shards
-
-(* Per-shard periodic registry snapshots, exactly like the sequential
-   cluster's chain: self-parking at shard quiescence, re-armed by [run].
-   Only the shard's own registry is sampled here — the cross-shard
-   probes run at barriers instead (see [run]). *)
-let arm_snapshots t sh =
-  match t.config.Config.snapshot_interval with
-  | None -> ()
-  | Some interval ->
-      if not sh.snapshots_armed then begin
-        sh.snapshots_armed <- true;
-        let rec tick () =
-          Obs_registry.snapshot sh.registry ~at:(Engine.now sh.engine);
-          if Engine.pending sh.engine > 0 then
-            ignore (Engine.schedule sh.engine ~delay:interval tick)
-          else sh.snapshots_armed <- false
-        in
-        ignore (Engine.schedule sh.engine ~delay:interval tick)
-      end
-
-let drain sh =
-  List.iter
-    (fun ((_, _, m) : int * int * xmsg) ->
-      Network.deliver_remote (Rpc.network sh.rpc) ~at:m.x_at ~src:m.x_src ~dst:m.x_dst
-        m.x_env)
-    (Mailbox.drain sh.inbox)
-
-let run ?until ?on_round t =
-  Array.iter (fun sh -> arm_snapshots t sh) t.shards;
-  let shards =
-    Array.map
-      (fun sh -> { Parallel.engine = sh.engine; drain = (fun () -> drain sh) })
-      t.shards
-  in
-  let probe_interval = t.config.Config.snapshot_interval in
-  let hook ~at =
-    (match probe_interval with
-    | Some interval when Time.compare at t.next_probe >= 0 ->
-        run_probes t;
-        t.next_probe <- Time.add at interval
-    | _ -> ());
-    match on_round with Some f -> f ~at | None -> ()
-  in
-  let stats = Parallel.run ~window:t.window ?until ~on_round:hook shards in
-  t.last_stats <- Some stats;
-  (* Quiescence-time probe pass: the periodic hook only fires when a
-     barrier crosses the probe grid, so a run shorter than one window —
-     or one with no snapshot interval configured — would otherwise end
-     without a single conservation check. The domains are joined here, so
-     the cross-shard reads are safe. *)
-  run_probes t
-
-let probes_run t = t.probes_run
-
-(* --- quiescent whole-system operations (domains joined) --- *)
-
-let flush_all_syncs t =
-  Array.iter (Site.flush_sync ~force:true) t.store;
-  Array.iter Site.flush_epochs t.store;
-  run t
-
-let replica_amounts t ~item =
-  System_checks.replica_amounts ~topology:t.topology ~site:(fun i -> t.store.(i)) ~item
-
-let av_sum t ~item =
-  System_checks.av_sum ~topology:t.topology ~site:(fun i -> t.store.(i)) ~item
-
-let av_conservation t ~item =
-  System_checks.av_conservation ~topology:t.topology ~site:(fun i -> t.store.(i)) ~item
-
-let decision_agreement t = System_checks.decision_agreement ~iter_sites:(iter_sites t)
-let in_doubt_total t = System_checks.in_doubt_total ~iter_sites:(iter_sites t)
-
-let sealed_epoch_agreement t =
-  System_checks.sealed_epoch_agreement ~iter_sites:(iter_sites t)
-
-let unsealed_intent_total t = System_checks.unsealed_intent_total ~iter_sites:(iter_sites t)
-
-let check_invariants t =
-  System_checks.check_invariants ~config:t.config ~topology:t.topology ~site:(fun i ->
-      t.store.(i))
+let net_stats = Cluster.net_stats_by_shard

@@ -39,6 +39,16 @@ let create topology ~n_domains ~items =
   let n_sites = Topology.n_sites topology in
   if n_domains < 1 then invalid_arg "Placement.create: n_domains must be >= 1";
   let n_domains = Stdlib.min n_domains n_sites in
+  if n_domains = 1 then
+    (* One domain owns everything: skip the greedy pass, which walks every
+       item's subscriber set per site (quadratic under full replication). *)
+    {
+      n_domains;
+      domain_of = Array.make n_sites 0;
+      sites_of = [| Array.init n_sites Fun.id |];
+      cross_items = 0;
+    }
+  else
   (* Per-item subscriber arrays and the reverse index: which items each
      site subscribes to. Built once; the greedy pass below only walks
      these. *)

@@ -22,8 +22,17 @@ let snapshot cluster ~updates_done ~applied ~rejected =
     per_site_correspondences = Cluster.per_site_correspondences cluster;
     applied;
     rejected;
-    virtual_time = Avdb_sim.Engine.now (Cluster.engine cluster);
+    virtual_time = Cluster.now cluster;
   }
+
+(* Per-shard completion tallies: update continuations fire on the shard
+   owning their submission site, so each lane has a single writer. *)
+type lane = {
+  mutable finished : int;
+  mutable applied : int;
+  mutable rejected : int;
+  mutable rev_results : Update.result list;
+}
 
 let run cluster ~nth_update ~total_updates ?(interval = Time.of_ms 10.)
     ?checkpoint_every ?(submit = fun site ~item ~delta k -> Site.submit_update site ~item ~delta k)
@@ -35,102 +44,90 @@ let run cluster ~nth_update ~total_updates ?(interval = Time.of_ms 10.)
     | Some _ -> invalid_arg "Runner.run: checkpoint_every must be positive"
     | None -> Stdlib.max 1 (total_updates / 10)
   in
-  let engine = Cluster.engine cluster in
-  let done_count = ref 0 in
-  let applied = ref 0 in
-  let rejected = ref 0 in
-  let rev_results = ref [] in
+  let n_shards = Cluster.n_domains cluster in
+  let lanes =
+    Array.init n_shards (fun _ -> { finished = 0; applied = 0; rejected = 0; rev_results = [] })
+  in
   let rev_checkpoints = ref [] in
-  let on_result result =
-    incr done_count;
-    rev_results := result :: !rev_results;
-    if Update.is_applied result then incr applied else incr rejected;
-    if !done_count mod checkpoint_every = 0 then
+  let on_result lane result =
+    lane.finished <- lane.finished + 1;
+    lane.rev_results <- result :: lane.rev_results;
+    if Update.is_applied result then lane.applied <- lane.applied + 1
+    else lane.rejected <- lane.rejected + 1;
+    (* A checkpoint reads every shard's stats, which is safe mid-run only
+       when there is one shard. *)
+    if n_shards = 1 && lane.finished mod checkpoint_every = 0 then
       rev_checkpoints :=
-        snapshot cluster ~updates_done:!done_count ~applied:!applied ~rejected:!rejected
+        snapshot cluster ~updates_done:lane.finished ~applied:lane.applied
+          ~rejected:lane.rejected
         :: !rev_checkpoints
+  in
+  (* The update stream. One shard draws it lazily, in order, as each
+     update fires. Several shards materialise it up front on the calling
+     domain (generators are stateful) so that each shard fires only the
+     updates of its own sites: [first.(d)] is shard [d]'s first update and
+     [next k] the one after [k] on [k]'s shard ([total_updates] when none
+     is left). *)
+  let nth, first, next =
+    if n_shards = 1 then (nth_update, [| 0 |], fun k -> k + 1)
+    else begin
+      let updates = Array.init total_updates nth_update in
+      let first = Array.make n_shards total_updates in
+      let after = Array.make total_updates total_updates in
+      let last = Array.make n_shards (-1) in
+      Array.iteri
+        (fun k (site_index, _, _) ->
+          let d = Cluster.domain_of_site cluster site_index in
+          if last.(d) < 0 then first.(d) <- k else after.(last.(d)) <- k;
+          last.(d) <- k)
+        updates;
+      (Array.get updates, first, Array.get after)
+    end
   in
   (* Relative to the current virtual time, so several runs compose on one
      cluster (e.g. add sites between phases). Updates are drip-fed — each
-     event schedules its successor at the next fixed slot — rather than
-     preloaded, so the event queue holds a handful of events instead of
-     [total_updates] and every heap operation stays cheap. Fire times are
-     identical either way: start + k * interval. *)
-  let start = Avdb_sim.Engine.now engine in
-  let rec arm k =
-    if k < total_updates then
-      ignore
-        (Engine.schedule_at engine
-           ~at:(Time.add start (Time.mul interval (float_of_int k)))
-           (fun () ->
-             arm (k + 1);
-             let site_index, item, delta = nth_update k in
-             submit (Cluster.site cluster site_index) ~item ~delta on_result))
-  in
-  arm 0;
-  Cluster.run cluster;
-  let final =
-    snapshot cluster ~updates_done:!done_count ~applied:!applied ~rejected:!rejected
-  in
-  { checkpoints = List.rev !rev_checkpoints; final; results = List.rev !rev_results }
-
-(* The parallel variant: same fire times (start + k * interval), with
-   update [k] drip-fed on the shard that owns its submission site, so
-   every shard arms only its own chain and no completion callback ever
-   crosses a domain. Results are collected into per-update slots (each
-   written by exactly one shard) and per-shard counters, then assembled
-   after the domains join. Mid-run checkpoints would read cross-shard
-   stats from a running domain, so only the final checkpoint is taken;
-   [results] comes back in submission order, not completion order. *)
-let run_parallel pcluster ~nth_update ~total_updates ?(interval = Time.of_ms 10.)
-    ?(submit =
-      fun ~shard:_ site ~item ~delta k -> Site.submit_update site ~item ~delta k) () =
-  if total_updates < 0 then invalid_arg "Runner.run_parallel: negative total_updates";
-  (* Workload generators are stateful; materialize every update on the
-     calling domain before any shard runs. *)
-  let updates = Array.init total_updates nth_update in
-  let n_shards = Pcluster.n_domains pcluster in
-  let results = Array.make total_updates None in
-  let applied = Array.make n_shards 0 in
-  let rejected = Array.make n_shards 0 in
-  let by_shard = Array.make n_shards [] in
-  for k = total_updates - 1 downto 0 do
-    let site_index, _, _ = updates.(k) in
-    let d = Pcluster.domain_of_site pcluster site_index in
-    by_shard.(d) <- k :: by_shard.(d)
-  done;
-  let start = Pcluster.now pcluster in
+     event schedules its shard's next update at its fixed slot — rather
+     than preloaded, so the event queues hold a handful of events instead
+     of [total_updates] and every heap operation stays cheap. Update [k]
+     fires at start + k * interval on any shard count. *)
+  let start = Cluster.now cluster in
   Array.iteri
-    (fun d ks ->
-      let ks = Array.of_list ks in
-      let rec arm j =
-        if j < Array.length ks then begin
-          let k = ks.(j) in
-          let site_index, item, delta = updates.(k) in
-          Pcluster.schedule_at_site pcluster ~site:site_index
-            ~at:(Time.add start (Time.mul interval (float_of_int k)))
-            (fun () ->
-              arm (j + 1);
-              submit ~shard:d (Pcluster.site pcluster site_index) ~item ~delta
-                (fun result ->
-                  results.(k) <- Some result;
-                  if Update.is_applied result then applied.(d) <- applied.(d) + 1
-                  else rejected.(d) <- rejected.(d) + 1))
-        end
-      in
-      arm 0)
-    by_shard;
-  Pcluster.run pcluster;
-  let sum = Array.fold_left ( + ) 0 in
-  let results = Array.to_list updates |> List.mapi (fun k _ -> results.(k)) |> List.filter_map Fun.id in
+    (fun d lane ->
+      let engine = (Cluster.engines cluster).(d) and on_result = on_result lane in
+      let rec arm k =
+        if k < total_updates then
+          ignore
+            (Engine.schedule_at engine
+               ~at:(Time.add start (Time.mul interval (float_of_int k)))
+               (fun () ->
+                 arm_after k;
+                 let site_index, item, delta = nth k in
+                 submit (Cluster.site cluster site_index) ~item ~delta on_result))
+      and arm_after k = arm (next k) in
+      arm first.(d))
+    lanes;
+  Cluster.run cluster;
+  let sum f = Array.fold_left (fun acc lane -> acc + f lane) 0 lanes in
   let final =
-    {
-      updates_done = List.length results;
-      total_correspondences = Pcluster.total_correspondences pcluster;
-      per_site_correspondences = Pcluster.per_site_correspondences pcluster;
-      applied = sum applied;
-      rejected = sum rejected;
-      virtual_time = Pcluster.now pcluster;
-    }
+    snapshot cluster
+      ~updates_done:(sum (fun l -> l.finished))
+      ~applied:(sum (fun l -> l.applied))
+      ~rejected:(sum (fun l -> l.rejected))
   in
-  { checkpoints = []; final; results }
+  {
+    checkpoints = List.rev !rev_checkpoints;
+    final;
+    results = Array.fold_right (fun l acc -> List.rev_append l.rev_results acc) lanes [];
+  }
+
+(* [run] under its former multi-domain name, with a shard-aware [submit].
+   Kept only because perfbench/ compiles against it and changes only with
+   the benchmark; the next benchmark change moves perfbench onto [run] and
+   deletes this. *)
+let run_parallel cluster ~nth_update ~total_updates ?interval
+    ?(submit = fun ~shard:_ site ~item ~delta k -> Site.submit_update site ~item ~delta k) () =
+  run cluster ~nth_update ~total_updates ?interval
+    ~submit:(fun site ~item ~delta k ->
+      let shard = Cluster.domain_of_site cluster (Avdb_net.Address.to_int (Site.addr site)) in
+      submit ~shard site ~item ~delta k)
+    ()

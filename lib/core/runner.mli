@@ -33,16 +33,26 @@ val run :
   outcome
 (** [nth_update k] returns [(site_index, item, delta)] for the k-th update
     (0-based). [interval] defaults to 10 ms, [checkpoint_every] to
-    [max 1 (total_updates / 10)]. Runs the engine to quiescence.
+    [max 1 (total_updates / 10)]. Runs the cluster to quiescence.
+
+    On one shard [nth_update] is called as each update fires and
+    [results] is in completion order. On several shards, update [k] still
+    fires at [start + k × interval] but on the shard owning its site;
+    [nth_update] is called for every update on the calling domain before
+    the shards start (workload generators are stateful); [checkpoints] is
+    empty (a mid-run checkpoint would read cross-shard stats from running
+    domains); and [results] holds each shard's results in completion
+    order, shards in rank order.
 
     [submit] defaults to {!Site.submit_update}; passing a wrapper lets a
     caller observe every submission and its completion without the runner
     depending on the observer (the consistency oracle's history recorder
     plugs in here). The wrapper must eventually call the continuation it
-    is given exactly as the site reports it. *)
+    is given exactly as the site reports it. On several shards it runs on
+    the site's shard and must only touch that shard's state. *)
 
 val run_parallel :
-  Pcluster.t ->
+  Cluster.t ->
   nth_update:(int -> int * string * int) ->
   total_updates:int ->
   ?interval:Avdb_sim.Time.t ->
@@ -55,13 +65,6 @@ val run_parallel :
     unit) ->
   unit ->
   outcome
-(** The multi-domain variant: update [k] fires at the same virtual time
-    [start + k × interval] but is armed on the shard owning its
-    submission site, and [nth_update] is materialized for all
-    [total_updates] on the calling domain before the shards start
-    (workload generators are stateful). Differences from {!run}:
-    [checkpoints] is empty (a mid-run checkpoint would read cross-shard
-    stats from running domains) and [results] is in {e submission}
-    order, not completion order. A [submit] wrapper runs on the shard's
-    domain and receives that shard's index; it must only touch
-    shard-local state (e.g. a per-shard history recorder). *)
+(** {!run} under its former multi-domain name; [submit] also receives the
+    owning shard of the submission site. Kept only because perfbench/
+    compiles against it; the next benchmark change deletes it. *)

@@ -1,5 +1,5 @@
-(* Gauge/sketch registration for one site's counters, shared by the
-   sequential cluster and the parallel (sharded) cluster. Everything a
+(* Gauge/sketch registration for one site's counters, into its shard's
+   registry. Everything a
    site counts is exposed as gauges sourced from the mutable records the
    hot paths already maintain — registration is the only cost. Per-item
    AV gauges are registered only for the site's interest set, so
@@ -12,8 +12,8 @@ module Obs_registry = Avdb_obs.Registry
 module Tracer = Avdb_obs.Tracer
 
 (* [resolve] looks up a peer site by index for gauges that read another
-   site's state (the version-lag probe reads the item's base). A shard of
-   the parallel engine resolves only its own sites — a registry snapshot
+   site's state (the version-lag probe reads the item's base). A shard
+   resolves only its own sites — a registry snapshot
    must never read across a domain boundary — so cross-shard lag gauges
    are simply not registered there. *)
 let register_site ~registry ~engine ~config ~topology ~net_stats ~resolve site =

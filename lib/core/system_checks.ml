@@ -1,8 +1,7 @@
-(* Whole-system introspection over a set of sites, shared by the
-   sequential cluster and the parallel (sharded) cluster. Everything here
-   reads cross-site state, so in a parallel run these must only be called
-   while the domains are quiescent: between runs, or from the barrier
-   hook. *)
+(* Whole-system introspection over a set of sites, behind the cluster's
+   probes. Everything here reads cross-site state, so with several shards
+   these must only be called while the shards are quiescent: between
+   runs, or from a barrier hook. *)
 
 open Avdb_net
 open Avdb_av

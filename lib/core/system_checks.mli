@@ -1,10 +1,9 @@
-(** Whole-system invariant checks over a set of sites, shared by the
-    sequential {!Cluster} and the parallel {!Pcluster}.
+(** Whole-system invariant checks over a set of sites, behind
+    {!Cluster}'s probes and introspection.
 
-    Every function here reads state across sites, so in a parallel run
-    they must only be called while the domains are quiescent: between
-    runs, or from the barrier hook ({!Avdb_sim.Parallel.run}'s
-    [on_round]). *)
+    Every function here reads state across sites, so on a cluster with
+    several shards they must only be called while the shards are
+    quiescent: between runs, or from a {!Cluster.probe_at} hook. *)
 
 val replica_amounts :
   topology:Topology.t -> site:(int -> Site.t) -> item:string -> int list

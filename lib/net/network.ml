@@ -201,7 +201,7 @@ let send_local t ~src ~dst dst_node ~size payload =
    check the sender cannot make is whether [dst] is down *at send time*
    (that state lives in the destination shard); the destination re-checks
    down and partition state at the delivery instant, which is when the
-   sequential engine makes its final check too. *)
+   one-shard path makes its final check too. *)
 let send_remote t ~src ~dst ~size payload push =
   Stats.on_sent t.stats src ~bytes:size;
   if (node t src).down || is_partitioned t src dst then begin

@@ -205,22 +205,22 @@ let prop_domains_deterministic =
             record_history = true;
           }
         in
-        let p = Pcluster.create config in
+        let p = Cluster.create config in
         List.iter
           (fun (site, delta) ->
             if delta <> 0 then
               let item = Printf.sprintf "epoch%d" (abs delta mod 2) in
-              Site.submit_update (Pcluster.site p site) ~item ~delta (fun _ -> ()))
+              Site.submit_update (Cluster.site p site) ~item ~delta (fun _ -> ()))
           ops;
-        Pcluster.run p;
-        Pcluster.flush_all_syncs p;
+        Cluster.run p;
+        Cluster.flush_all_syncs p;
         let logs =
           Array.to_list
-            (Array.map (fun s -> Txn_log.to_string (Site.txn_log s)) (Pcluster.sites p))
+            (Array.map (fun s -> Txn_log.to_string (Site.txn_log s)) (Cluster.sites p))
         in
         let amounts =
           List.concat_map
-            (fun item -> Pcluster.replica_amounts p ~item)
+            (fun item -> Cluster.replica_amounts p ~item)
             [ "epoch0"; "epoch1" ]
         in
         (logs, amounts)

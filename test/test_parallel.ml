@@ -1,10 +1,12 @@
-(* The parallel engine end-to-end. The pins, in order: placement is a
-   balanced deterministic partition; a [domains = 1] Pcluster replays
-   the sequential cluster byte for byte; same-seed multi-domain runs are
+(* The multi-shard cluster end-to-end. The pins, in order: placement is a
+   balanced deterministic partition; mail pushed between runs is drained
+   before the first window; the single-shard accessors refuse a sharded
+   cluster; probes wait for a barrier; same-seed multi-domain runs are
    byte-identical to each other (state, traces, spans, samples); a
-   parallel run passes the consistency oracle on its merged per-shard
+   sharded run passes the consistency oracle on its merged per-shard
    histories; and the nemesis drives crashes, partitions and network
-   faults through the parallel engine deterministically. *)
+   faults through several shards deterministically. (The one-shard
+   outputs are pinned in test_golden.ml.) *)
 
 open Avdb_sim
 open Avdb_core
@@ -97,44 +99,57 @@ let test_quiescent_mail_first () =
   Alcotest.(check (option int)) "delivered at its own instant" (Some 2000)
     (Option.map Time.to_us !delivered)
 
-(* --- domains = 1 replays the sequential cluster --- *)
+(* --- what only a one-shard cluster offers --- *)
 
-let test_domains1_replays_sequential () =
-  let config =
+let two_shards () =
+  Cluster.create
     {
       Config.default with
-      Config.n_sites = 6;
-      products = Product.catalogue ~n_regular:12 ~n_non_regular:0 ~initial_amount:100;
-      sync_interval = Some (Time.of_ms 25.);
-      seed = 11;
+      Config.n_sites = 4;
+      products = Product.catalogue ~n_regular:2 ~n_non_regular:0 ~initial_amount:100;
+      domains = 2;
     }
+
+let test_single_shard_only () =
+  let c = two_shards () in
+  Alcotest.(check int) "two shards" 2 (Cluster.n_domains c);
+  let raises name f =
+    match f () with
+    | exception Invalid_argument _ -> ()
+    | _ -> Alcotest.failf "%s accepted on a 2-domain cluster" name
   in
-  let cluster = Cluster.create config in
-  let seq =
-    Runner.run cluster
-      ~nth_update:(Scm.generator (Scm.create (scm_spec config) ~seed:17))
-      ~total_updates:200 ()
+  raises "engine" (fun () -> ignore (Cluster.engine c));
+  raises "trace" (fun () -> ignore (Cluster.trace c));
+  raises "tracer" (fun () -> ignore (Cluster.tracer c));
+  raises "registry" (fun () -> ignore (Cluster.registry c));
+  raises "net_stats" (fun () -> ignore (Cluster.net_stats c));
+  raises "add_retailer" (fun () -> ignore (Cluster.add_retailer c (fun _ -> ())))
+
+(* --- probes run at the first barrier at or after their instant --- *)
+
+let test_probe_at_barriers () =
+  let c = two_shards () in
+  let seen = ref [] in
+  let probe ms =
+    Cluster.probe_at c ~at:(Time.of_ms ms) (fun () -> seen := (ms, Cluster.now c) :: !seen)
   in
-  let pc = Pcluster.create config in
-  let par =
-    Runner.run_parallel pc
-      ~nth_update:(Scm.generator (Scm.create (scm_spec config) ~seed:17))
-      ~total_updates:200 ()
-  in
-  Alcotest.(check int) "applied" seq.Runner.final.Runner.applied
-    par.Runner.final.Runner.applied;
-  Alcotest.(check int) "rejected" seq.Runner.final.Runner.rejected
-    par.Runner.final.Runner.rejected;
-  Alcotest.(check int) "correspondences" seq.Runner.final.Runner.total_correspondences
-    par.Runner.final.Runner.total_correspondences;
+  probe 30.;
+  probe 10.;
+  (* keep both shards busy until 50 ms *)
+  for site = 0 to 3 do
+    Cluster.schedule_at_site c ~site ~at:(Time.of_ms 50.) ignore
+  done;
+  Cluster.run c;
+  (* a hook past the end of the run fires when the shards drain *)
+  probe 500.;
+  Cluster.run c;
+  Alcotest.(check (list (float 0.))) "in time order" [ 10.; 30.; 500. ]
+    (List.rev_map fst !seen);
   List.iter
-    (fun item ->
-      Alcotest.(check (list int)) item
-        (Cluster.replica_amounts cluster ~item)
-        (Pcluster.replica_amounts pc ~item))
-    (item_names config.Config.products);
-  Alcotest.(check bool) "trace events identical" true
-    (Trace.events (Cluster.trace cluster) = Pcluster.trace_events pc)
+    (fun (ms, at) ->
+      if ms < 100. && Time.compare at (Time.of_ms ms) < 0 then
+        Alcotest.failf "probe for %.0f ms ran early, at %a" ms Time.pp at)
+    !seen
 
 (* --- same-seed multi-domain runs are byte-identical --- *)
 
@@ -151,34 +166,32 @@ let sharded_run ~domains =
       seed = 11;
     }
   in
-  let pc = Pcluster.create config in
-  let wl = sharded_wl config (Pcluster.topology pc) ~seed:23 in
-  let outcome =
-    Runner.run_parallel pc ~nth_update:(Scm.generator wl) ~total_updates:200 ()
-  in
+  let pc = Cluster.create config in
+  let wl = sharded_wl config (Cluster.topology pc) ~seed:23 in
+  let outcome = Runner.run pc ~nth_update:(Scm.generator wl) ~total_updates:200 () in
   (config, pc, outcome)
 
 let test_parallel_deterministic () =
   let config, pc1, o1 = sharded_run ~domains:4 in
   let _, pc2, o2 = sharded_run ~domains:4 in
-  Alcotest.(check int) "four shards" 4 (Pcluster.n_domains pc1);
+  Alcotest.(check int) "four shards" 4 (Cluster.n_domains pc1);
   Alcotest.(check int) "applied" o1.Runner.final.Runner.applied
     o2.Runner.final.Runner.applied;
   Alcotest.(check int) "rejected" o1.Runner.final.Runner.rejected
     o2.Runner.final.Runner.rejected;
-  Alcotest.(check int) "rounds" (Pcluster.rounds pc1) (Pcluster.rounds pc2);
+  Alcotest.(check int) "rounds" (Cluster.rounds pc1) (Cluster.rounds pc2);
   List.iter
     (fun item ->
       Alcotest.(check (list int)) item
-        (Pcluster.replica_amounts pc1 ~item)
-        (Pcluster.replica_amounts pc2 ~item))
+        (Cluster.replica_amounts pc1 ~item)
+        (Cluster.replica_amounts pc2 ~item))
     (item_names config.Config.products);
   Alcotest.(check bool) "trace events identical" true
-    (Pcluster.trace_events pc1 = Pcluster.trace_events pc2);
-  Alcotest.(check bool) "spans identical" true (Pcluster.spans pc1 = Pcluster.spans pc2);
+    (Cluster.trace_events pc1 = Cluster.trace_events pc2);
+  Alcotest.(check bool) "spans identical" true (Cluster.spans pc1 = Cluster.spans pc2);
   Alcotest.(check bool) "metric samples identical" true
-    (Pcluster.metric_samples pc1 = Pcluster.metric_samples pc2);
-  Alcotest.(check bool) "samples were taken" true (Pcluster.metric_samples pc1 <> [])
+    (Cluster.metric_samples pc1 = Cluster.metric_samples pc2);
+  Alcotest.(check bool) "samples were taken" true (Cluster.metric_samples pc1 <> [])
 
 (* --- a run shorter than one probe window still gets probed --- *)
 
@@ -197,10 +210,10 @@ let test_short_run_probes () =
       seed = 7;
     }
   in
-  let pc = Pcluster.create config in
-  let wl = sharded_wl config (Pcluster.topology pc) ~seed:13 in
-  let _ = Runner.run_parallel pc ~nth_update:(Scm.generator wl) ~total_updates:20 () in
-  Alcotest.(check bool) "at least one probe pass" true (Pcluster.probes_run pc >= 1)
+  let pc = Cluster.create config in
+  let wl = sharded_wl config (Cluster.topology pc) ~seed:13 in
+  let _ = Runner.run pc ~nth_update:(Scm.generator wl) ~total_updates:20 () in
+  Alcotest.(check bool) "at least one probe pass" true (Cluster.probes_run pc >= 1)
 
 (* --- the oracle accepts a parallel run's merged history --- *)
 
@@ -216,19 +229,19 @@ let test_oracle_accepts_parallel () =
       seed = 7;
     }
   in
-  let pc = Pcluster.create config in
-  let wl = sharded_wl config (Pcluster.topology pc) ~seed:31 in
+  let pc = Cluster.create config in
+  let wl = sharded_wl config (Cluster.topology pc) ~seed:31 in
   let recorders =
-    Array.init (Pcluster.n_domains pc) (fun _ -> Avdb_check.History.create ())
+    Array.init (Cluster.n_domains pc) (fun _ -> Avdb_check.History.create ())
   in
-  let engines = Pcluster.engines pc in
-  let submit ~shard site ~item ~delta k =
+  let engines = Cluster.engines pc in
+  let submit site ~item ~delta k =
+    let shard = Cluster.domain_of_site pc (Avdb_net.Address.to_int (Site.addr site)) in
     Avdb_check.History.submit_update recorders.(shard) ~engine:engines.(shard) site
       ~item ~delta k
   in
-  ignore
-    (Runner.run_parallel pc ~nth_update:(Scm.generator wl) ~total_updates:150 ~submit ());
-  Pcluster.flush_all_syncs pc;
+  ignore (Runner.run pc ~nth_update:(Scm.generator wl) ~total_updates:150 ~submit ());
+  Cluster.flush_all_syncs pc;
   let history = Avdb_check.History.merge (Array.to_list recorders) in
   Alcotest.(check int) "history complete" 150 (Avdb_check.History.length history);
   let snapshot = Avdb_check.Checker.snapshot_of_pcluster pc in
@@ -280,8 +293,8 @@ let suites =
         Alcotest.test_case "placement partitions sites" `Quick test_placement_partitions;
         Alcotest.test_case "placement clamps domains" `Quick test_placement_clamps;
         Alcotest.test_case "quiescent mail drained first" `Quick test_quiescent_mail_first;
-        Alcotest.test_case "domains=1 replays sequential" `Quick
-          test_domains1_replays_sequential;
+        Alcotest.test_case "single-shard accessors refuse" `Quick test_single_shard_only;
+        Alcotest.test_case "probes wait for a barrier" `Quick test_probe_at_barriers;
         Alcotest.test_case "short run still probed" `Quick test_short_run_probes;
         Alcotest.test_case "same-seed runs byte-identical" `Quick
           test_parallel_deterministic;
