@@ -49,7 +49,12 @@
     Double-fired continuations are reported as violations in their own
     right. The checker assumes the history captured {e every} client
     operation of the run — drive workloads through the {!History}
-    wrappers. *)
+    wrappers.
+
+    Cost: one pass indexes the history by item, and every check then reads
+    only its item's entries — the weak reads of one 2PC or epoch item share
+    a single growing reachable set — so the cost grows with the history
+    and each item's reachable-set size, not with reads × history. *)
 
 (** {2 End-state snapshot} *)
 
