@@ -1,98 +1,121 @@
-(* A cancelled handle must decrement the live count exactly once, and only
-   while its entry is still in the heap — [in_queue] distinguishes "fired or
-   already swept" from "still pending", so cancel after pop is a no-op. *)
-type handle = { mutable cancelled : bool; mutable in_queue : bool; live : int ref }
+(* An entry records its own heap slot ([pos]) so [cancel] can remove it in
+   place. [pos] is >= 0 while queued, [popped] once dequeued, [cancelled]
+   once cancelled (before or after firing). The sort key lives beside the
+   entries in the queue's flat [times]/[seqs] arrays, so sifting compares
+   unboxed ints without touching the entry blocks. *)
+type 'a entry = { time : Time.t; payload : 'a; mutable pos : int; queue : 'a t }
 
-type 'a entry = { time : Time.t; seq : int; payload : 'a; handle : handle }
-
-type 'a t = {
-  mutable heap : 'a entry array;
-  (* [heap] slots at index >= size are physically present but logically
-     absent; a dummy entry fills slot 0 of a fresh queue until first use. *)
+and 'a t = {
+  mutable entries : 'a entry array;
+  mutable times : int array;
+  mutable seqs : int array;
+  (* Slots at index >= size are logically absent and hold [vacant], so a
+     removed entry (and its payload) is never retained by the heap. *)
   mutable size : int;
   mutable next_seq : int;
-  (* Count of live (non-cancelled, still-queued) entries, maintained
-     eagerly so [is_empty]/[length] are O(1) instead of a heap scan.
-     Shared with every handle: cancellation happens away from the queue. *)
-  live : int ref;
 }
 
-let create () = { heap = [||]; size = 0; next_seq = 0; live = ref 0 }
+(* Unboxed existential: a handle is the entry itself, minus its payload
+   type, so [add] allocates nothing beyond the entry. *)
+type handle = H : 'a entry -> handle [@@unboxed]
 
-let entry_before a b =
-  match Time.compare a.time b.time with
-  | 0 -> a.seq < b.seq
-  | c -> c < 0
+let popped = -1
+let cancelled = -2
 
-let grow t entry =
-  let cap = Array.length t.heap in
+(* Filler for logically absent slots. Never read: every access is guarded
+   by [size]. *)
+let vacant () : 'a entry = Obj.magic 0
+
+let create () = { entries = [||]; times = [||]; seqs = [||]; size = 0; next_seq = 0 }
+
+let grow t =
+  let cap = Array.length t.entries in
   if t.size = cap then begin
     let ncap = if cap = 0 then 16 else cap * 2 in
-    let nheap = Array.make ncap entry in
-    Array.blit t.heap 0 nheap 0 t.size;
-    t.heap <- nheap
+    let entries = Array.make ncap (vacant ()) in
+    let times = Array.make ncap 0 and seqs = Array.make ncap 0 in
+    Array.blit t.entries 0 entries 0 t.size;
+    Array.blit t.times 0 times 0 t.size;
+    Array.blit t.seqs 0 seqs 0 t.size;
+    t.entries <- entries;
+    t.times <- times;
+    t.seqs <- seqs
   end
 
-let rec sift_up t i =
-  if i > 0 then begin
-    let parent = (i - 1) / 2 in
-    if entry_before t.heap.(i) t.heap.(parent) then begin
-      let tmp = t.heap.(i) in
-      t.heap.(i) <- t.heap.(parent);
-      t.heap.(parent) <- tmp;
-      sift_up t parent
+(* Does key [(time, seq)] sort before the key in slot [j]? *)
+let[@inline] before t ~time ~seq j =
+  let tj = t.times.(j) in
+  time < tj || (time = tj && seq < t.seqs.(j))
+
+let[@inline] put t i e ~time ~seq =
+  t.entries.(i) <- e;
+  t.times.(i) <- time;
+  t.seqs.(i) <- seq;
+  e.pos <- i
+
+(* Hole-based sifts on a 4-ary heap: children of slot [i] are
+   [4i+1 .. 4i+4]. The moving entry is written once, at its final slot. *)
+let sift_up t i e ~time ~seq =
+  let i = ref i in
+  let continue = ref true in
+  while !continue && !i > 0 do
+    let parent = (!i - 1) lsr 2 in
+    if before t ~time ~seq parent then begin
+      put t !i t.entries.(parent) ~time:t.times.(parent) ~seq:t.seqs.(parent);
+      i := parent
     end
-  end
+    else continue := false
+  done;
+  put t !i e ~time ~seq
 
-let rec sift_down t i =
-  let l = (2 * i) + 1 and r = (2 * i) + 2 in
-  let smallest = ref i in
-  if l < t.size && entry_before t.heap.(l) t.heap.(!smallest) then smallest := l;
-  if r < t.size && entry_before t.heap.(r) t.heap.(!smallest) then smallest := r;
-  if !smallest <> i then begin
-    let tmp = t.heap.(i) in
-    t.heap.(i) <- t.heap.(!smallest);
-    t.heap.(!smallest) <- tmp;
-    sift_down t !smallest
-  end
+let sift_down t i e ~time ~seq =
+  let i = ref i in
+  let continue = ref true in
+  while !continue do
+    let first = (4 * !i) + 1 in
+    if first >= t.size then continue := false
+    else begin
+      let last = Stdlib.min (first + 3) (t.size - 1) in
+      let best = ref first in
+      for c = first + 1 to last do
+        if before t ~time:t.times.(c) ~seq:t.seqs.(c) !best then best := c
+      done;
+      let b = !best in
+      if not (before t ~time ~seq b) then begin
+        put t !i t.entries.(b) ~time:t.times.(b) ~seq:t.seqs.(b);
+        i := b
+      end
+      else continue := false
+    end
+  done;
+  put t !i e ~time ~seq
 
 let add t ~time payload =
-  let handle = { cancelled = false; in_queue = true; live = t.live } in
-  let entry = { time; seq = t.next_seq; payload; handle } in
-  t.next_seq <- t.next_seq + 1;
-  grow t entry;
-  t.heap.(t.size) <- entry;
+  let seq = t.next_seq in
+  t.next_seq <- seq + 1;
+  grow t;
+  let e = { time; payload; pos = t.size; queue = t } in
   t.size <- t.size + 1;
-  sift_up t (t.size - 1);
-  incr t.live;
-  handle
+  sift_up t (t.size - 1) e ~time:(Time.to_us time) ~seq;
+  H e
 
-let cancel h =
-  if not h.cancelled then begin
-    h.cancelled <- true;
-    if h.in_queue then decr h.live
-  end
-
-let is_cancelled h = h.cancelled
-
-let remove_root t =
-  let root = t.heap.(0) in
-  root.handle.in_queue <- false;
-  t.size <- t.size - 1;
-  if t.size > 0 then begin
-    t.heap.(0) <- t.heap.(t.size);
-    sift_down t 0
+(* Removes the entry at slot [i]: the last entry fills the hole and sifts
+   whichever way its key requires. *)
+let remove_at t i =
+  let last = t.size - 1 in
+  t.size <- last;
+  if i < last then begin
+    let e = t.entries.(last) and time = t.times.(last) and seq = t.seqs.(last) in
+    if i > 0 && before t ~time ~seq ((i - 1) lsr 2) then sift_up t i e ~time ~seq
+    else sift_down t i e ~time ~seq
   end;
-  root
+  t.entries.(last) <- vacant ()
 
-(* Discard cancelled entries sitting at the root: a cancel leaves its entry
-   in the heap, so dead entries are skipped lazily when they surface. Their
-   live-count decrement already happened at [cancel] time. *)
-let rec drop_cancelled t =
-  if t.size > 0 && t.heap.(0).handle.cancelled then begin
-    ignore (remove_root t);
-    drop_cancelled t
-  end
+let cancel (H e) =
+  if e.pos >= 0 then remove_at e.queue e.pos;
+  e.pos <- cancelled
+
+let is_cancelled (H e) = e.pos = cancelled
 
 exception Empty
 
@@ -103,12 +126,12 @@ let entry_payload e = e.payload
    re-wrapping it in an option and a tuple, so the per-event cost of the
    simulator's main loop is zero allocations. *)
 let pop_exn t =
-  drop_cancelled t;
   if t.size = 0 then raise Empty
   else begin
-    let e = remove_root t in
-    decr t.live;
-    e
+    let root = t.entries.(0) in
+    remove_at t 0;
+    root.pos <- popped;
+    root
   end
 
 let pop t =
@@ -116,10 +139,7 @@ let pop t =
   | exception Empty -> None
   | e -> Some (e.time, e.payload)
 
-let peek_time t =
-  drop_cancelled t;
-  if t.size = 0 then None else Some t.heap.(0).time
-
-let is_empty t = !(t.live) = 0
-let length t = !(t.live)
+let peek_time t = if t.size = 0 then None else Some t.entries.(0).time
+let is_empty t = t.size = 0
+let length t = t.size
 let scheduled_total t = t.next_seq

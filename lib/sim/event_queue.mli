@@ -1,10 +1,12 @@
 (** Cancellable priority queue of timed events.
 
-    A binary min-heap ordered by [(time, sequence)]; the sequence number
+    A 4-ary min-heap ordered by [(time, sequence)]; the sequence number
     makes dequeue order total and deterministic — two events scheduled for
-    the same instant fire in scheduling order. Cancellation is O(1): the
-    handle is flagged and the entry discarded lazily when it reaches the
-    heap root, so cancelling never moves heap entries. *)
+    the same instant fire in scheduling order. The keys sit in flat [int]
+    arrays beside the entries, so sifting compares unboxed integers, and
+    every entry knows its own slot. Cancellation is eager and O(log n):
+    the entry leaves the heap at once, so the heap only ever holds live
+    events and a cancelled payload is not retained. *)
 
 type 'a t
 
@@ -17,14 +19,14 @@ val add : 'a t -> time:Time.t -> 'a -> handle
 (** Schedules a payload at an absolute time. *)
 
 val cancel : handle -> unit
-(** Cancels the event. Harmless if the event already fired or was already
-    cancelled. *)
+(** Cancels the event, removing it from the heap in O(log n). Harmless if
+    the event already fired or was already cancelled. *)
 
 val is_cancelled : handle -> bool
 
 val pop : 'a t -> (Time.t * 'a) option
-(** Removes and returns the earliest live event, skipping cancelled
-    entries. [None] if the queue holds no live events. *)
+(** Removes and returns the earliest live event. [None] if the queue
+    holds no live events. *)
 
 type 'a entry
 (** A dequeued event: its fire time and payload. Entries are immutable
@@ -44,11 +46,10 @@ val peek_time : 'a t -> Time.t option
 (** Time of the earliest live event without removing it. *)
 
 val is_empty : 'a t -> bool
-(** True iff no live events remain. O(1): a live counter is maintained by
-    [add]/[cancel]/[pop] rather than recomputed by scanning the heap. *)
+(** True iff no live events remain. O(1). *)
 
 val length : 'a t -> int
-(** Number of live (non-cancelled) events. O(1). *)
+(** Number of live (non-cancelled) events: the heap size. O(1). *)
 
 val scheduled_total : 'a t -> int
 (** Total number of [add]s over the queue's lifetime (diagnostic). *)

@@ -32,7 +32,12 @@ val recordf :
   category:string ->
   ('a, Format.formatter, unit, unit) format4 ->
   'a
-(** Formatted variant. *)
+(** Formatted variant. The arguments are captured, not formatted: the
+    message is rendered the first time {!events} reads the event, or at
+    once when a subscriber is attached (subscribers always receive the
+    formatted event synchronously). An argument printed with [%a] or [%t]
+    is therefore read at render time and must not be mutated after the
+    call; render a mutable value to a string and pass it with [%s]. *)
 
 val events : ?category:string -> ?min_level:level -> t -> event list
 (** Retained events, oldest first, optionally filtered. *)

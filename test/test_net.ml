@@ -220,6 +220,95 @@ let test_nodes_listing () =
   Alcotest.(check (list int)) "after removal" [ 0; 1; 3 ]
     (List.map Address.to_int (Network.nodes net))
 
+(* Nodes and per-site stats are indexed by address: sparse and large
+   addresses must behave like dense small ones. *)
+let test_sparse_large_addresses () =
+  let engine = Engine.create ~seed:7 () in
+  let net = Network.create ~engine ~latency:(Latency.Constant (t_us 10)) () in
+  let received = ref [] in
+  List.iter
+    (fun i ->
+      Network.add_node net (addr i) (fun ~src payload ->
+          received := (Address.to_int src, i, payload) :: !received))
+    [ 100_000; 7; 0 ];
+  Alcotest.(check (list int)) "sorted nodes" [ 0; 7; 100_000 ]
+    (List.map Address.to_int (Network.nodes net));
+  Network.send net ~src:(addr 0) ~dst:(addr 100_000) "up";
+  Network.send net ~src:(addr 100_000) ~dst:(addr 7) "down";
+  ignore (Engine.run engine);
+  Alcotest.(check (list (triple int int string)))
+    "delivered" [ (0, 100_000, "up"); (100_000, 7, "down") ]
+    (List.sort compare !received);
+  (match Network.send net ~src:(addr 0) ~dst:(addr 50_000) "gap" with
+  | () -> Alcotest.fail "expected Invalid_argument for an unregistered address in range"
+  | exception Invalid_argument _ -> ());
+  Alcotest.(check (list int)) "stats sites" [ 0; 7; 100_000 ]
+    (List.map (fun (a, _) -> Address.to_int a) (Stats.sites (Network.stats net)))
+
+let test_remove_node_then_send () =
+  let _, net, _ = make_net () in
+  Network.remove_node net (addr 1);
+  Alcotest.check_raises "send to a removed node"
+    (Invalid_argument "Network: unknown node site1") (fun () ->
+      Network.send net ~src:(addr 0) ~dst:(addr 1) "x");
+  (* removing an address never registered, or beyond every registered one,
+     is a no-op *)
+  Network.remove_node net (addr 1);
+  Network.remove_node net (addr 1_000);
+  Alcotest.(check (list int)) "remaining" [ 0; 2 ] (List.map Address.to_int (Network.nodes net));
+  Network.add_node net (addr 1) (fun ~src:_ _ -> ());
+  Alcotest.(check (list int)) "re-added" [ 0; 1; 2 ]
+    (List.map Address.to_int (Network.nodes net))
+
+let test_stats_sites_and_totals () =
+  let stats = Stats.create () in
+  Stats.on_sent stats (addr 9) ~bytes:10;
+  Stats.on_sent stats (addr 2) ~bytes:5;
+  Stats.on_sent stats (addr 9) ~bytes:1;
+  Stats.on_received stats (addr 4);
+  Stats.on_dropped stats (addr 2);
+  Stats.on_duplicated stats (addr 9);
+  Stats.on_reordered stats (addr 4);
+  Stats.add_retry stats (addr 2);
+  Stats.add_correspondence stats (addr 9);
+  Stats.add_correspondence stats (addr 9);
+  let row (a, s) =
+    Stats.
+      ( Address.to_int a,
+        [
+          s.sent;
+          s.received;
+          s.bytes_sent;
+          s.dropped;
+          s.duplicated;
+          s.reordered;
+          s.retries;
+          s.correspondences;
+        ] )
+  in
+  Alcotest.(check (list (pair int (list int))))
+    "sorted per-site records"
+    [
+      (2, [ 1; 0; 5; 1; 0; 0; 1; 0 ]);
+      (4, [ 0; 1; 0; 0; 0; 1; 0; 0 ]);
+      (9, [ 2; 0; 11; 0; 1; 0; 0; 2 ]);
+    ]
+    (List.map row (Stats.sites stats));
+  Alcotest.(check (list int)) "totals" [ 3; 1; 1; 2; 1; 1; 1 ]
+    Stats.
+      [
+        total_sent stats;
+        total_received stats;
+        total_dropped stats;
+        total_correspondences stats;
+        total_duplicated stats;
+        total_reordered stats;
+        total_retries stats;
+      ];
+  Stats.reset stats;
+  Alcotest.(check int) "reset empties" 0 (List.length (Stats.sites stats));
+  Alcotest.(check int) "reset zeroes totals" 0 (Stats.total_sent stats)
+
 let test_self_send () =
   let engine, net, received = make_net () in
   Network.send net ~src:(addr 1) ~dst:(addr 1) "self";
@@ -361,6 +450,9 @@ let suites =
         Alcotest.test_case "fault setters validate" `Quick test_fault_probability_setters_validate;
         Alcotest.test_case "stats counting" `Quick test_stats_counting;
         Alcotest.test_case "nodes listing" `Quick test_nodes_listing;
+        Alcotest.test_case "sparse and large addresses" `Quick test_sparse_large_addresses;
+        Alcotest.test_case "remove node then send" `Quick test_remove_node_then_send;
+        Alcotest.test_case "stats sites and totals" `Quick test_stats_sites_and_totals;
         Alcotest.test_case "self send" `Quick test_self_send;
         Alcotest.test_case "link latency override" `Quick test_link_latency_override;
         Alcotest.test_case "link latency query" `Quick test_link_latency_query;

@@ -59,6 +59,56 @@ let test_clear () =
   Alcotest.(check (list string)) "usable after clear" [ "after" ]
     (List.map (fun e -> e.Trace.message) (Trace.events t))
 
+(* [recordf] defers formatting; what [events] returns must be exactly the
+   string the eager [Format.asprintf] gives for the same format and
+   arguments, boxes and break hints included. *)
+let test_recordf_matches_asprintf () =
+  let t = Trace.create () in
+  let pp_pair ppf (a, b) = Format.fprintf ppf "@[<h>(%d,@ %s)@]" a b in
+  let long = String.make 70 'x' in
+  Trace.recordf t ~at:(at 1) ~category:"c" "tx%d %a at %a" 7 Time.pp (at 1500) pp_pair (3, "y");
+  Trace.recordf t ~at:(at 2) ~category:"c" "@[<v 2>head@,%s@,%t@]" long (fun ppf ->
+      Format.pp_print_string ppf "tail");
+  Trace.recordf t ~at:(at 3) ~category:"c" "%s %5.2f %-4d| 100%%@ %S" "str" 3.14159 42 "q";
+  let expect =
+    [
+      Format.asprintf "tx%d %a at %a" 7 Time.pp (at 1500) pp_pair (3, "y");
+      Format.asprintf "@[<v 2>head@,%s@,%t@]" long (fun ppf ->
+          Format.pp_print_string ppf "tail");
+      Format.asprintf "%s %5.2f %-4d| 100%%@ %S" "str" 3.14159 42 "q";
+    ]
+  in
+  Alcotest.(check (list string)) "same text as asprintf" expect
+    (List.map (fun e -> e.Trace.message) (Trace.events t));
+  Alcotest.(check (list string)) "stable across reads" expect
+    (List.map (fun e -> e.Trace.message) (Trace.events t))
+
+(* A subscriber sees the formatted event inside the [recordf] call itself:
+   [History.attach_trace] parses crash/recovery messages as they happen. *)
+let test_recordf_subscriber_synchronous () =
+  let t = Trace.create () in
+  let seen = ref [] in
+  let _sub = Trace.subscribe t (fun e -> seen := (e.Trace.category, e.Trace.message) :: !seen) in
+  Trace.recordf t ~at:(at 5) ~level:Trace.Warn ~category:"fault" "site%d crashed" 3;
+  Alcotest.(check (list (pair string string)))
+    "delivered before recordf returns" [ ("fault", "site3 crashed") ] !seen;
+  Alcotest.(check (list string)) "also retained" [ "site3 crashed" ]
+    (List.map (fun e -> e.Trace.message) (Trace.events t))
+
+let test_recordf_capacity_and_dropped () =
+  let t = Trace.create ~capacity:3 () in
+  for i = 1 to 5 do
+    Trace.recordf t ~at:(at i) ~category:(if i mod 2 = 0 then "even" else "odd") "n=%d" i
+  done;
+  Alcotest.(check int) "capped length" 3 (Trace.length t);
+  Alcotest.(check int) "dropped" 2 (Trace.dropped t);
+  Alcotest.(check (list string)) "newest three survive, in order" [ "n=3"; "n=4"; "n=5" ]
+    (List.map (fun e -> e.Trace.message) (Trace.events t));
+  Alcotest.(check (list string)) "category filter" [ "n=4" ]
+    (List.map (fun e -> e.Trace.message) (Trace.events ~category:"even" t));
+  Alcotest.(check (list int)) "timestamps kept" [ 3; 4; 5 ]
+    (List.map (fun e -> Time.to_us e.Trace.at) (Trace.events t))
+
 let test_pp () =
   let e = { Trace.at = at 1500; level = Trace.Warn; category = "av"; message = "m" } in
   Alcotest.(check string) "render" "[1.500ms] warn av: m"
@@ -126,6 +176,11 @@ let suites =
         Alcotest.test_case "subscribe" `Quick test_subscribe;
         Alcotest.test_case "unsubscribe" `Quick test_unsubscribe;
         Alcotest.test_case "clear" `Quick test_clear;
+        Alcotest.test_case "recordf matches asprintf" `Quick test_recordf_matches_asprintf;
+        Alcotest.test_case "recordf subscriber synchronous" `Quick
+          test_recordf_subscriber_synchronous;
+        Alcotest.test_case "recordf capacity and dropped" `Quick
+          test_recordf_capacity_and_dropped;
         Alcotest.test_case "pp" `Quick test_pp;
         Alcotest.test_case "cluster av events" `Quick test_cluster_trace_av_events;
         Alcotest.test_case "cluster fault events" `Quick test_cluster_trace_fault_events;
