@@ -16,5 +16,10 @@ val hash : t -> int
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 
+val cover : 'a option array -> t -> 'a option array
+(** For tables indexed by address: [cover slots a] is [slots] when it has a
+    slot for [a], else a copy at least twice as long that does, its new
+    slots [None]. *)
+
 module Set : Set.S with type elt = t
 module Map : Map.S with type key = t

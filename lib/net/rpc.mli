@@ -87,7 +87,10 @@ val serve :
     [reply] function that may be invoked immediately or from a later event
     (at most once; later invocations are ignored). Duplicates of an
     already-answered request are answered from the reply cache without
-    re-invoking [handler]. [span] is the server-side span for this request
+    re-invoking [handler]; duplicates of a request still owed a reply are
+    dropped. The cache evicts the oldest of its answered entries beyond
+    8 192; an entry still owed a reply is kept until it is answered or
+    {!end_incarnation} is called for the node. [span] is the server-side span for this request
     (present only when the transport has a tracer); handlers may parent
     their own spans onto it. It is finished when [reply]'s response hits
     the wire. [notice] handles one-way messages; the default drops them. *)
@@ -119,3 +122,15 @@ val notify : ('req, 'resp, 'note) t -> src:Address.t -> dst:Address.t -> 'note -
 val pending_calls : ('req, 'resp, 'note) t -> int
 (** Number of calls awaiting a response, retransmission or timeout
     (diagnostic). *)
+
+val end_incarnation : ('req, 'resp, 'note) t -> Address.t -> unit
+(** Tells the transport that the node served at the address crashed: the
+    requests its handlers still owe a reply will never be answered by the
+    incarnation that received them. Their cache entries keep swallowing
+    duplicates but become evictable, like answered ones, so repeated
+    crashes cannot grow the reply cache without bound. A no-op for an
+    address that is not served. *)
+
+val cached_replies : ('req, 'resp, 'note) t -> Address.t -> int
+(** Number of entries in the reply cache of the node served at the
+    address, answered or not (diagnostic). *)
