@@ -192,11 +192,196 @@ let test_sim_pins () =
   if mismatches <> [] then
     Alcotest.failf "sim run moved:@.%s" (String.concat "\n" mismatches)
 
+(* --- paths the runs above never take ---
+
+   The centralized baseline, atomic batches, a live join, AV prefetch,
+   rotating sync fanout, authoritative reads and a sharded hierarchical
+   topology, each driven next to a crash/recover cycle. Besides the four
+   observables, [extra] digests the results of the calls made outside the
+   runner (batches, reads, the join). *)
+
+let scm_spec (config : Config.t) =
+  {
+    Avdb_workload.Scm.n_sites = config.Config.n_sites;
+    items =
+      Array.of_list
+        (List.map (fun p -> (p.Product.name, p.Product.initial_amount)) config.Config.products);
+    maker_increase_pct = 0.2;
+    retailer_decrease_pct = 0.1;
+    item_skew = 0.;
+    maker_weight = 1;
+  }
+
+let extension_run (config : Config.t) ~drive =
+  let cluster = Cluster.create config in
+  let engine = Cluster.engine cluster in
+  let log = ref [] in
+  let note tag v = log := (tag, v) :: !log in
+  let at ms f = ignore (Engine.schedule_at engine ~at:(Time.of_ms ms) f) in
+  at 250. (fun () -> Site.crash (Cluster.site cluster 1));
+  at 600. (fun () -> Site.recover (Cluster.site cluster 1));
+  List.iter
+    (fun ms ->
+      at ms (fun () ->
+          for i = 0 to Cluster.n_sites cluster - 1 do
+            List.iter
+              (fun p ->
+                let item = p.Product.name in
+                if Site.interested_in (Cluster.site cluster i) ~item then
+                  Site.read_authoritative (Cluster.site cluster i) ~item (fun r ->
+                      note
+                        (Printf.sprintf "read %.0f %d %s" ms i item)
+                        (match r with
+                        | Ok v -> Option.value v ~default:(-1)
+                        | Error _ -> -2)))
+              config.Config.products
+          done))
+    [ 200.; 450.; 900. ];
+  drive cluster ~at ~note;
+  let wl = Avdb_workload.Scm.create (scm_spec config) ~seed:11 in
+  let outcome =
+    Runner.run cluster ~nth_update:(Avdb_workload.Scm.generator wl) ~total_updates:300
+      ~interval:(Time.of_ms 4.) ~checkpoint_every:50 ()
+  in
+  Cluster.flush_all_syncs cluster;
+  Cluster.snapshot_now cluster;
+  [
+    ("trace", digest (Trace.events (Cluster.trace cluster)));
+    ("spans", digest (Avdb_obs.Tracer.spans (Cluster.tracer cluster)));
+    ("samples", digest (Avdb_obs.Registry.samples (Cluster.registry cluster)));
+    ("outcome", digest outcome);
+    ("extra", digest (List.rev !log));
+  ]
+
+let outcome_code (r : Update.result) =
+  match r.Update.outcome with
+  | Update.Applied _ -> Format.asprintf "applied %a" Avdb_sim.Time.pp r.Update.latency
+  | Update.Rejected reason -> Format.asprintf "rejected %a" Update.pp_reason reason
+
+(* Batches over each site's regular interest items, a few inside the
+   crash window; site 2's batches also name a non-regular item. *)
+let drive_batches (config : Config.t) cluster ~at ~note =
+  let regular = List.filter Product.is_regular config.Config.products in
+  List.iter
+    (fun ms ->
+      at ms (fun () ->
+          for i = 0 to Cluster.n_sites cluster - 1 do
+            let site = Cluster.site cluster i in
+            let mine =
+              List.filter (fun p -> Site.interested_in site ~item:p.Product.name) regular
+            in
+            let deltas =
+              List.mapi (fun k p -> (p.Product.name, if k mod 2 = 0 then -7 else 3)) mine
+            in
+            let deltas =
+              match
+                List.find_opt
+                  (fun p ->
+                    (not (Product.is_regular p)) && Site.interested_in site ~item:p.Product.name)
+                  config.Config.products
+              with
+              | Some p when i = 2 -> (p.Product.name, -1) :: deltas
+              | Some _ | None -> deltas
+            in
+            Site.submit_batch site ~deltas (fun r ->
+                note (Printf.sprintf "batch %.0f %d %s" ms i (outcome_code r)) 0)
+          done))
+    [ 120.; 300.; 700. ]
+
+let centralized_config =
+  {
+    Config.default with
+    Config.n_sites = 4;
+    mode = Config.Centralized;
+    products = Product.mixed ~n_regular:3 ~n_non_regular:2 ~n_epoch:1 ~initial_amount:50;
+    drop_probability = 0.02;
+    rpc_retry = sim_config.Config.rpc_retry;
+    snapshot_interval = Some (Time.of_ms 40.);
+    seed = 7;
+  }
+
+let sharded_config =
+  {
+    Config.default with
+    Config.n_sites = 8;
+    products = Product.mixed ~n_regular:6 ~n_non_regular:2 ~n_epoch:2 ~initial_amount:60;
+    topology = Topology.sharded ~spread:3 ~hierarchy_fanout:2 ();
+    drop_probability = 0.02;
+    rpc_retry = sim_config.Config.rpc_retry;
+    sync_interval = Some (Time.of_ms 20.);
+    sync_fanout = Some 1;
+    prefetch_low = Some 8;
+    snapshot_interval = Some (Time.of_ms 40.);
+    seed = 13;
+  }
+
+let extension_cases =
+  [
+    ( "centralized",
+      fun () ->
+        extension_run centralized_config ~drive:(fun cluster ~at ~note ->
+            drive_batches centralized_config cluster ~at ~note) );
+    ( "sharded",
+      fun () ->
+        extension_run sharded_config ~drive:(fun cluster ~at ~note ->
+            drive_batches sharded_config cluster ~at ~note;
+            at 400. (fun () ->
+                let joiner =
+                  Cluster.add_retailer cluster (fun (i, r) ->
+                      note
+                        (Printf.sprintf "join %d %s" i
+                           (match r with Ok () -> "ok" | Error _ -> "error"))
+                        0)
+                in
+                at 800. (fun () ->
+                    let site = Cluster.site cluster joiner in
+                    List.iter
+                      (fun p ->
+                        let item = p.Product.name in
+                        if Product.is_regular p && Site.interested_in site ~item then
+                          Site.submit_update site ~item ~delta:(-4) (fun r ->
+                              note (Printf.sprintf "joiner %s %s" item (outcome_code r)) 0))
+                      sharded_config.Config.products))) );
+  ]
+
+let extension_pins =
+  [
+    ("centralized/trace", "d93bd3a387bf5b66794f8883b70be15c");
+    ("centralized/spans", "74a0cd5cf9eb2e11bc5b776287993389");
+    ("centralized/samples", "a2636ccb3a44b50a6045fa1686710d6d");
+    ("centralized/outcome", "5119eab23e47033064ba4579d6d05c8e");
+    ("centralized/extra", "13b800242980cd4b3c5b700343282306");
+    ("sharded/trace", "786da0f56566f46344b4576cd37f027b");
+    ("sharded/spans", "fcd742320ba1d06157740d1226442424");
+    ("sharded/samples", "175d8a92bb2479392637d518837d2560");
+    ("sharded/outcome", "064e18d0ec53a8d496ba5021b4086733");
+    ("sharded/extra", "7267973097a2d65c6b47ff74f1d9f939");
+  ]
+
+let test_extension_pins () =
+  let mismatches =
+    List.concat_map
+      (fun (case, run) ->
+        List.filter_map
+          (fun (name, d) ->
+            let key = case ^ "/" ^ name in
+            let want = List.assoc_opt key extension_pins in
+            if want = Some d then None
+            else
+              Some
+                (Printf.sprintf "(%S, %S); pinned %s" key d (Option.value want ~default:"-")))
+          (run ()))
+      extension_cases
+  in
+  if mismatches <> [] then
+    Alcotest.failf "extension runs moved:@.%s" (String.concat "\n" mismatches)
+
 let suites =
   [
     ( "golden",
       [
         Alcotest.test_case "nemesis outcomes pinned" `Quick test_nemesis_pins;
         Alcotest.test_case "sim run pinned" `Quick test_sim_pins;
+        Alcotest.test_case "extension runs pinned" `Quick test_extension_pins;
       ] );
   ]
