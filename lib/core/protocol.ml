@@ -52,6 +52,21 @@ type request =
   | Epoch_pull of { item : string; from_epoch : int }
   | Epoch_collect of { item : string; epoch : int; ballot : int }
 
+(** A replica snapshot served to a joiner or a repairing site. *)
+type snapshot = {
+  rows : (string * int * bool) list;
+      (** committed state only: tentative 2PC deltas are subtracted *)
+  sync_state : (int * string * int * int) list;
+  pending : (int * int * string * int) list;
+      (** in-flight 2PC txns touching the requested items, as
+          (txid, coordinator, item, delta) — a repairing site must
+          watch these resolve before trusting its snapshot *)
+  epochs : (string * int) list;
+      (** per requested epoch-class item: the donor's applied epoch at
+          snapshot time — the joiner's floor, so later seals are not
+          double-applied onto the snapshot *)
+}
+
 type response =
   | Av_grant of {
       granted : int;
@@ -65,19 +80,7 @@ type response =
   | Read_value of { amount : int option }
   | Decision_status of { txid : int; status : decision_status }
   | Peer_decision_status of { txid : int; status : peer_status }
-  | Join_snapshot of {
-      rows : (string * int * bool) list;
-          (** committed state only: tentative 2PC deltas are subtracted *)
-      sync_state : (int * string * int * int) list;
-      pending : (int * int * string * int) list;
-          (** in-flight 2PC txns touching the requested items, as
-              (txid, coordinator, item, delta) — a repairing site must
-              watch these resolve before trusting its snapshot *)
-      epochs : (string * int) list;
-          (** per requested epoch-class item: the donor's applied epoch at
-              snapshot time — the joiner's floor, so later seals are not
-              double-applied onto the snapshot *)
-    }
+  | Join_snapshot of snapshot
   | Epoch_intent_ack of { txid : int; sealed : bool }
   | Epoch_vote of { item : string; epoch : int; accepted : bool }
   | Epoch_commit_ack of { item : string; epoch : int; applied_epoch : int }

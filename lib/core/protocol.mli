@@ -108,6 +108,27 @@ type request =
           the crashed sequencer may have sealed (presumed-unsealed only
           when no acceptor reports a value) *)
 
+(** A replica snapshot served to a joiner or a repairing site. *)
+type snapshot = {
+  rows : (string * int * bool) list;  (** item, amount, regular *)
+  sync_state : (int * string * int * int) list;
+      (** per (origin site, item): the version and cumulative sync
+          counter already folded into [rows] — the joiner seeds its
+          receiver state with these so later notices apply only newer
+          deltas *)
+  pending : (int * int * string * int) list;
+      (** in-flight 2PC transactions touching the requested items, as
+          (txid, coordinator, item, delta). [rows] holds committed
+          state only (tentative deltas subtracted); a corruption-repair
+          client must watch these resolve — applying each commit
+          exactly once — before trusting its installed snapshot. *)
+  epochs : (string * int) list;
+      (** per requested epoch-class item: the donor's applied epoch at
+          snapshot time. The client records it as its durable epoch
+          floor so sealed epochs already folded into [rows] are never
+          re-applied, and as its acceptor fence after amnesia. *)
+}
+
 type response =
   | Av_grant of {
       granted : int;
@@ -128,25 +149,7 @@ type response =
       (** [None] when the item does not exist at the serving site *)
   | Decision_status of { txid : int; status : decision_status }
   | Peer_decision_status of { txid : int; status : peer_status }
-  | Join_snapshot of {
-      rows : (string * int * bool) list;  (** item, amount, regular *)
-      sync_state : (int * string * int * int) list;
-          (** per (origin site, item): the version and cumulative sync
-              counter already folded into [rows] — the joiner seeds its
-              receiver state with these so later notices apply only newer
-              deltas *)
-      pending : (int * int * string * int) list;
-          (** in-flight 2PC transactions touching the requested items, as
-              (txid, coordinator, item, delta). [rows] holds committed
-              state only (tentative deltas subtracted); a corruption-repair
-              client must watch these resolve — applying each commit
-              exactly once — before trusting its installed snapshot. *)
-      epochs : (string * int) list;
-          (** per requested epoch-class item: the donor's applied epoch at
-              snapshot time. The client records it as its durable epoch
-              floor so sealed epochs already folded into [rows] are never
-              re-applied, and as its acceptor fence after amnesia. *)
-    }
+  | Join_snapshot of snapshot
   | Epoch_intent_ack of { txid : int; sealed : bool }
       (** [sealed] when the receiver has already applied a seal containing
           the txid — the writer's pump can stop re-sending it *)

@@ -157,33 +157,3 @@ module Coordinator = struct
 
   let is_done t = match t.phase with Done _ -> true | _ -> false
 end
-
-module Participant = struct
-  type action = Apply | Revert | Ignore
-
-  type t = { prepared : (int, unit) Hashtbl.t }
-
-  let create () = { prepared = Hashtbl.create 16 }
-
-  let on_prepare t ~txid ~can_apply =
-    if Hashtbl.mem t.prepared txid then Ready
-    else if can_apply then begin
-      Hashtbl.add t.prepared txid ();
-      Ready
-    end
-    else Refuse
-
-  let on_decision t ~txid d =
-    if not (Hashtbl.mem t.prepared txid) then Ignore
-    else begin
-      Hashtbl.remove t.prepared txid;
-      match d with Commit -> Apply | Abort -> Revert
-    end
-
-  let pending t =
-    Hashtbl.fold (fun txid () acc -> txid :: acc) t.prepared [] |> List.sort compare
-
-  let forget t ~txid = Hashtbl.remove t.prepared txid
-
-  let reset t = Hashtbl.reset t.prepared
-end

@@ -214,6 +214,48 @@ let test_immediate_updates_atomic_under_loss () =
   let result = submit cluster 1 ~delta:(-1) () in
   Alcotest.(check bool) "still live" true (Update.is_applied result)
 
+(* The participant lifecycle at one site: a Ready vote leaves a prepared
+   transaction, logged and counted in the Immediate backlog, until the
+   decision applies it; duplicated prepares and decisions change nothing
+   (the RPC reply cache absorbs the prepares, a decision for a txid no
+   longer prepared is ignored); a refused prepare leaves no trace, so the
+   Abort that follows it is ignored too. *)
+let test_participant_lifecycle () =
+  let cluster = make () in
+  let engine = Cluster.engine cluster in
+  let backlog i = List.assoc "immediate" (Site.backlog (Cluster.site cluster i)) in
+  let between_vote_and_decision = ref [] in
+  ignore
+    (Avdb_sim.Engine.schedule_at engine ~at:(Avdb_sim.Time.of_ms 1.5) (fun () ->
+         between_vote_and_decision := List.init 3 backlog));
+  Cluster.set_duplicate_probability cluster 1.0;
+  let result = submit cluster 1 ~delta:(-10) () in
+  Alcotest.(check bool) "commits under duplication" true (Update.is_applied result);
+  Alcotest.(check (list int)) "prepared everywhere until the decision" [ 1; 1; 1 ]
+    !between_vote_and_decision;
+  Alcotest.(check (list int)) "applied exactly once" [ 40; 40; 40 ]
+    (Cluster.replica_amounts cluster ~item:"custom");
+  Alcotest.(check (list int)) "nothing left prepared" [ 0; 0; 0 ] (List.init 3 backlog);
+  List.iter
+    (fun i ->
+      Alcotest.(check int) (Printf.sprintf "site%d logged one commit" i) 1
+        (Txn_log.committed (Site.txn_log (Cluster.site cluster i))))
+    [ 0; 1; 2 ];
+  Cluster.set_duplicate_probability cluster 0.;
+  let refused = submit cluster 2 ~delta:(-100) () in
+  (match refused.Update.outcome with
+  | Update.Rejected Update.Txn_aborted -> ()
+  | _ -> Alcotest.failf "expected abort, got %a" Update.pp_result refused);
+  let txid = Txn_log.max_txid (Site.txn_log (Cluster.site cluster 2)) in
+  List.iter
+    (fun i ->
+      Alcotest.(check bool) (Printf.sprintf "site%d kept no record of the refused txn" i) true
+        (Txn_log.find (Site.txn_log (Cluster.site cluster i)) ~txid = None))
+    [ 0; 1 ];
+  Alcotest.(check (list int)) "refusal changed nothing" [ 40; 40; 40 ]
+    (Cluster.replica_amounts cluster ~item:"custom");
+  Alcotest.(check (list int)) "backlog stays empty" [ 0; 0; 0 ] (List.init 3 backlog)
+
 let suites =
   [
     ( "core.immediate_update",
@@ -234,5 +276,6 @@ let suites =
         Alcotest.test_case "coordinator crash resolved" `Quick
           test_coordinator_crash_resolved_after_recovery;
         Alcotest.test_case "atomic under loss" `Quick test_immediate_updates_atomic_under_loss;
+        Alcotest.test_case "participant lifecycle" `Quick test_participant_lifecycle;
       ] );
   ]
