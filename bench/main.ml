@@ -173,6 +173,34 @@ let reduction_pct ~proposed ~conventional =
 
 (* --- fig6 --- *)
 
+(* Exact summaries of a few per-site or per-run values, kept in the order
+   they were produced: the summation order fixes the last printed digit. *)
+let mean = function
+  | [] -> Float.nan
+  | xs -> List.fold_left ( +. ) 0. xs /. float_of_int (List.length xs)
+
+let mean_or_zero xs = if xs = [] then 0. else mean xs
+
+let stddev xs =
+  let m = mean xs in
+  let squares = List.fold_left (fun acc x -> acc +. ((x -. m) *. (x -. m))) 0. xs in
+  sqrt (squares /. float_of_int (List.length xs))
+
+let list_min = List.fold_left Float.min Float.infinity
+let list_max = List.fold_left Float.max Float.neg_infinity
+
+(* Linear interpolation between the two closest ranks. *)
+let percentile xs p =
+  let a = Array.of_list xs in
+  Array.sort Float.compare a;
+  let rank = p /. 100. *. float_of_int (Array.length a - 1) in
+  let lo = int_of_float (floor rank) and hi = int_of_float (ceil rank) in
+  let frac = rank -. float_of_int lo in
+  (a.(lo) *. (1. -. frac)) +. (a.(hi) *. frac)
+
+(* One value per site whose metrics [f] reads a sample from. *)
+let per_site cluster f = List.filter_map f (Array.to_list (Cluster.sites cluster))
+
 let exp_fig6 () =
   section "Fig. 6 - updates vs correspondences (proposed vs conventional)";
   note "Paper: proposed decreases correspondences by ~75%%; sub-linear growth.";
@@ -233,14 +261,12 @@ let exp_ablation_strategy () =
         { Avdb_av.Strategy.selection = Avdb_av.Strategy.Selection.Richest_known; granting }
       in
       let cluster, outcome = run_scm { default_setup with strategy } in
-      let rounds = Histogram.create () in
-      Array.iter
-        (fun s ->
-          let m = Site.metrics s in
-          let h = m.Update.Metrics.transfer_rounds in
-          if Sketch.count h > 0 then Histogram.add rounds (Sketch.mean h))
-        (Cluster.sites cluster);
-      let avg_rounds = if Histogram.count rounds = 0 then 0. else Histogram.mean rounds in
+      let avg_rounds =
+        mean_or_zero
+          (per_site cluster (fun s ->
+               let h = (Site.metrics s).Update.Metrics.transfer_rounds in
+               if Sketch.count h > 0 then Some (Sketch.mean h) else None))
+      in
       Ascii_table.add_row table
         [
           Avdb_av.Strategy.Granting.name granting;
@@ -381,7 +407,7 @@ let exp_ablation_prefetch () =
     (fun prefetch_low ->
       let cluster, outcome = run_scm { default_setup with prefetch_low } in
       let transfers = ref 0 and prefetches = ref 0 in
-      let p99s = Histogram.create () in
+      let p99s = ref [] in
       Array.iteri
         (fun i s ->
           let m = Site.metrics s in
@@ -389,7 +415,7 @@ let exp_ablation_prefetch () =
           prefetches := !prefetches + m.Update.Metrics.prefetch_requests;
           (* pool retailers' p99 latencies; the maker is always local *)
           if i > 0 && Sketch.count m.Update.Metrics.latency > 0 then
-            Histogram.add p99s (Sketch.percentile m.Update.Metrics.latency 99.))
+            p99s := Sketch.percentile m.Update.Metrics.latency 99. :: !p99s)
         (Cluster.sites cluster);
       Ascii_table.add_row table
         [
@@ -397,8 +423,7 @@ let exp_ablation_prefetch () =
           string_of_int (final_corr outcome);
           string_of_int !transfers;
           string_of_int !prefetches;
-          Printf.sprintf "%.1fms"
-            (if Histogram.count p99s = 0 then 0. else Histogram.mean p99s);
+          Printf.sprintf "%.1fms" (mean_or_zero (List.rev !p99s));
         ])
     [ None; Some 5; Some 10; Some 20 ];
   print_endline (Ascii_table.render table)
@@ -551,12 +576,11 @@ let exp_immediate () =
         (site, "custom", if site = 0 then 2 else -1)
       in
       let outcome = Runner.run cluster ~nth_update ~total_updates:total () in
-      let lat = Histogram.create () in
-      Array.iter
-        (fun s ->
-          let h = (Site.metrics s).Update.Metrics.latency in
-          if Sketch.count h > 0 then Histogram.add lat (Sketch.mean h))
-        (Cluster.sites cluster);
+      let lat =
+        per_site cluster (fun s ->
+            let h = (Site.metrics s).Update.Metrics.latency in
+            if Sketch.count h > 0 then Some (Sketch.mean h) else None)
+      in
       let corr = final_corr outcome in
       Ascii_table.add_row table
         [
@@ -565,7 +589,7 @@ let exp_immediate () =
           string_of_int corr;
           Printf.sprintf "%.1f" (float_of_int corr /. float_of_int total);
           string_of_int (2 * (n_sites - 1));
-          Printf.sprintf "%.1fms" (Histogram.mean lat);
+          Printf.sprintf "%.1fms" (mean lat);
           Printf.sprintf "%d%%" (100 * outcome.Runner.final.Runner.applied / total);
         ])
     [ 2; 3; 5; 9 ];
@@ -625,7 +649,7 @@ let exp_staleness () =
       in
       let cluster = Cluster.create config in
       let workload = Scm.create (Scm.paper_spec ()) ~seed:2000 in
-      let divergence = Histogram.create () in
+      let divergence = ref [] in
       let engine = Cluster.engine cluster in
       let items = List.map (fun p -> p.Product.name) config.Config.products in
       let sample () =
@@ -637,7 +661,7 @@ let exp_staleness () =
             let mn = List.fold_left Stdlib.min max_int amounts in
             worst := Stdlib.max !worst (mx - mn))
           items;
-        Histogram.add divergence (float_of_int !worst)
+        divergence := float_of_int !worst :: !divergence
       in
       (* Probes across the whole 30s (3000 updates x 10ms) run. *)
       for k = 1 to 600 do
@@ -648,12 +672,13 @@ let exp_staleness () =
       done;
       ignore
         (Runner.run cluster ~nth_update:(Scm.generator workload) ~total_updates:3000 ());
+      let divergence = List.rev !divergence in
       Ascii_table.add_row table
         [
           label;
-          Printf.sprintf "%.1f" (Histogram.mean divergence);
-          Printf.sprintf "%.0f" (Histogram.percentile divergence 99.);
-          Printf.sprintf "%.0f" (Histogram.max divergence);
+          Printf.sprintf "%.1f" (mean divergence);
+          Printf.sprintf "%.0f" (percentile divergence 99.);
+          Printf.sprintf "%.0f" (list_max divergence);
           string_of_int (Avdb_net.Stats.total_sent (Cluster.net_stats cluster));
         ])
     [
@@ -692,18 +717,15 @@ let exp_wan () =
         ignore
           (Runner.run cluster ~nth_update:(Scm.generator workload) ~total_updates:1500
              ~interval:(Avdb_sim.Time.of_ms (Stdlib.max 10. (ms *. 4.))) ());
-        let means = Histogram.create () and p99s = Histogram.create () in
-        Array.iteri
-          (fun i s ->
-            if i > 0 then begin
+        let retailers =
+          List.filter_map
+            (fun s ->
               let h = (Site.metrics s).Update.Metrics.latency in
-              if Sketch.count h > 0 then begin
-                Histogram.add means (Sketch.mean h);
-                Histogram.add p99s (Sketch.percentile h 99.)
-              end
-            end)
-          (Cluster.sites cluster);
-        (Histogram.mean means, Histogram.mean p99s)
+              if Site.role s = Site.Retailer && Sketch.count h > 0 then Some h else None)
+            (Array.to_list (Cluster.sites cluster))
+        in
+        ( mean (List.map Sketch.mean retailers),
+          mean (List.map (fun h -> Sketch.percentile h 99.) retailers) )
       in
       let p_mean, p_p99 = retailer_latency Config.Autonomous in
       let c_mean, c_p99 = retailer_latency Config.Centralized in
@@ -723,22 +745,19 @@ let exp_wan () =
 let exp_seeds () =
   section "Robustness - headline reduction across 10 seeds";
   note "The 86%% reduction is not a lucky seed: mean +/- stddev over reruns.";
-  let reductions = Histogram.create () in
-  let fairnesses = Histogram.create () in
-  List.iter
-    (fun seed ->
-      let _, autonomous = run_scm { default_setup with seed } in
-      let _, central = run_scm { default_setup with seed; mode = Config.Centralized } in
-      Histogram.add reductions
-        (reduction_pct ~proposed:(final_corr autonomous) ~conventional:(final_corr central));
-      Histogram.add fairnesses
-        (Fairness.jain_index (retailer_corrs autonomous ~n_sites:default_setup.n_sites)))
-    (List.init 10 (fun i -> 1000 + (i * 37)));
-  note "reduction: mean %.1f%%, stddev %.1f, min %.1f%%, max %.1f%%"
-    (Histogram.mean reductions) (Histogram.stddev reductions) (Histogram.min reductions)
-    (Histogram.max reductions);
-  note "retailer Jain fairness: mean %.3f, min %.3f" (Histogram.mean fairnesses)
-    (Histogram.min fairnesses)
+  let runs =
+    List.map
+      (fun seed ->
+        let _, autonomous = run_scm { default_setup with seed } in
+        let _, central = run_scm { default_setup with seed; mode = Config.Centralized } in
+        ( reduction_pct ~proposed:(final_corr autonomous) ~conventional:(final_corr central),
+          Fairness.jain_index (retailer_corrs autonomous ~n_sites:default_setup.n_sites) ))
+      (List.init 10 (fun i -> 1000 + (i * 37)))
+  in
+  let reductions = List.map fst runs and fairnesses = List.map snd runs in
+  note "reduction: mean %.1f%%, stddev %.1f, min %.1f%%, max %.1f%%" (mean reductions)
+    (stddev reductions) (list_min reductions) (list_max reductions);
+  note "retailer Jain fairness: mean %.3f, min %.3f" (mean fairnesses) (list_min fairnesses)
 
 (* --- elasticity (dynamic membership) --- *)
 
@@ -1152,37 +1171,78 @@ let measure_throughput () =
     mixed_msgs mixed_bytes mixed_fanout_msgs mixed_fanout_bytes mixed_applied;
   { delay_ups; delay_tracing_ups; delay_words; mixed_msgs; mixed_fanout_msgs }
 
-let write_throughput_json n =
-  let oc = open_out throughput_json_path in
-  Printf.fprintf oc
-    "{\n  \"delay_updates_per_sec\": %.0f,\n  \"delay_tracing_updates_per_sec\": %.0f,\n  \"delay_minor_words_per_update\": %.1f,\n  \"mixed_msgs_per_update\": %.3f,\n  \"mixed_fanout_msgs_per_update\": %.3f\n}\n"
-    n.delay_ups n.delay_tracing_ups n.delay_words n.mixed_msgs n.mixed_fanout_msgs;
-  close_out oc;
-  note "wrote %s" throughput_json_path
+(* --- committed baselines: one writer, one reader, one gate --- *)
 
-(* Tolerant field extraction so the check needs no JSON parser: find
-   '"name":' and read the number after it. *)
-let json_number contents name =
-  let needle = Printf.sprintf "%S:" name in
-  match
-    let nlen = String.length needle and len = String.length contents in
-    let rec find i =
-      if i + nlen > len then None
-      else if String.sub contents i nlen = needle then Some (i + nlen)
-      else find (i + 1)
+module Json = Avdb_obs.Json
+
+(* A number rounded to the precision it is reported at. *)
+let fixed digits v =
+  let scale = 10. ** float_of_int digits in
+  Json.Float (Float.round (v *. scale) /. scale)
+
+let write_json path fields =
+  Avdb_obs.Exporter.write_file ~path (Json.to_string (Json.Obj fields) ^ "\n");
+  note "wrote %s" path
+
+(* A gated field of a baseline file: [Exact] for deterministic numbers,
+   [Min_half] for higher-is-better ones (fail below half the baseline),
+   [Max_double] for lower-is-better ones (fail above twice it). *)
+type gate = Exact | Min_half | Max_double
+
+(* Compare fresh numbers against the committed baseline at [path]: each
+   gate is [(field, kind, printed digits, fresh value)]; [claims] runs
+   afterwards and returns the structural claims as (holds, failure
+   message). Prints one line per gate, then [ok] — or every failure on
+   stderr and exit 1. *)
+let check_against_baseline ~path ~ok gates ~claims =
+  let baseline =
+    match Json.of_string (In_channel.with_open_text path In_channel.input_all) with
+    | Ok v -> v
+    | Error e -> failwith (Printf.sprintf "%s: %s" path e)
+  in
+  let failures = ref [] in
+  let fail msg = failures := msg :: !failures in
+  let check name kind digits fresh base =
+    let bad =
+      match kind with
+      | Exact -> fresh <> base
+      | Min_half -> fresh *. 2. < base
+      | Max_double -> fresh > base *. 2.
     in
-    find 0
-  with
-  | None -> None
-  | Some start ->
-      let len = String.length contents in
-      let stop = ref start in
-      while
-        !stop < len && (match contents.[!stop] with ',' | '}' | '\n' -> false | _ -> true)
-      do
-        incr stop
-      done;
-      float_of_string_opt (String.trim (String.sub contents start (!stop - start)))
+    note "  %s: baseline=%.*f fresh=%.*f%s" name digits base digits fresh
+      (if not bad then "" else if kind = Exact then "  MISMATCH" else "  REGRESSED");
+    if bad then
+      fail
+        (if kind = Exact then
+           Printf.sprintf "%s: expected %.*f, got %.*f (run not deterministic?)" name
+             digits base digits fresh
+         else
+           Printf.sprintf "%s regressed more than 2x (baseline %.*f, now %.*f)" name
+             digits base digits fresh)
+  in
+  List.iter
+    (fun (name, kind, digits, fresh) ->
+      match Json.member name baseline with
+      | Some (Json.Int n) -> check name kind digits fresh (float_of_int n)
+      | Some (Json.Float base) -> check name kind digits fresh base
+      | Some _ | None -> fail (Printf.sprintf "%s: missing from baseline" name))
+    gates;
+  List.iter (fun (holds, msg) -> if not holds then fail msg) (claims ());
+  match !failures with
+  | [] -> note "%s" ok
+  | fs ->
+      List.iter (fun f -> Printf.eprintf "FAIL %s\n" f) fs;
+      exit 1
+
+let write_throughput_json n =
+  write_json throughput_json_path
+    [
+      ("delay_updates_per_sec", fixed 0 n.delay_ups);
+      ("delay_tracing_updates_per_sec", fixed 0 n.delay_tracing_ups);
+      ("delay_minor_words_per_update", fixed 1 n.delay_words);
+      ("mixed_msgs_per_update", fixed 3 n.mixed_msgs);
+      ("mixed_fanout_msgs_per_update", fixed 3 n.mixed_fanout_msgs);
+    ]
 
 let exp_throughput () =
   section "Throughput";
@@ -1269,41 +1329,15 @@ let exp_alloc_probe () =
 
 let exp_throughput_check () =
   section "Throughput check (vs committed baseline)";
-  let baseline =
-    let ic = open_in throughput_json_path in
-    let len = in_channel_length ic in
-    let contents = really_input_string ic len in
-    close_in ic;
-    contents
-  in
   let fresh = measure_throughput () in
-  let failures = ref [] in
-  let check name ~fresh ~baseline ~higher_is_better =
-    match json_number baseline name with
-    | None -> failures := Printf.sprintf "%s: missing from baseline" name :: !failures
-    | Some base ->
-        let regressed =
-          if higher_is_better then fresh *. 2. < base else fresh > base *. 2.
-        in
-        note "  %s: baseline=%.3f fresh=%.3f%s" name base fresh
-          (if regressed then "  REGRESSED" else "");
-        if regressed then
-          failures :=
-            Printf.sprintf "%s regressed more than 2x (baseline %.3f, now %.3f)" name base
-              fresh
-            :: !failures
-  in
-  check "delay_updates_per_sec" ~fresh:fresh.delay_ups ~baseline ~higher_is_better:true;
-  check "delay_minor_words_per_update" ~fresh:fresh.delay_words ~baseline
-    ~higher_is_better:false;
-  check "mixed_msgs_per_update" ~fresh:fresh.mixed_msgs ~baseline ~higher_is_better:false;
-  check "mixed_fanout_msgs_per_update" ~fresh:fresh.mixed_fanout_msgs ~baseline
-    ~higher_is_better:false;
-  match !failures with
-  | [] -> note "throughput within 2x of baseline"
-  | fs ->
-      List.iter (fun f -> Printf.eprintf "FAIL %s\n" f) fs;
-      exit 1
+  check_against_baseline ~path:throughput_json_path ~ok:"throughput within 2x of baseline"
+    [
+      ("delay_updates_per_sec", Min_half, 3, fresh.delay_ups);
+      ("delay_minor_words_per_update", Max_double, 3, fresh.delay_words);
+      ("mixed_msgs_per_update", Max_double, 3, fresh.mixed_msgs);
+      ("mixed_fanout_msgs_per_update", Max_double, 3, fresh.mixed_fanout_msgs);
+    ]
+    ~claims:(fun () -> [])
 
 (* --- parallel engine (gated perf benchmark) ---
 
@@ -1405,21 +1439,16 @@ let measure_parallel () =
   n
 
 let write_parallel_json n =
-  let oc = open_out parallel_json_path in
-  Printf.fprintf oc
-    "{\n\
-    \  \"parallel_host_cores\": %d,\n\
-    \  \"parallel_seq_updates_per_sec\": %.0f,\n\
-    \  \"parallel_par4_updates_per_sec\": %.0f,\n\
-    \  \"parallel_speedup_4\": %.2f,\n\
-    \  \"parallel_seq_applied\": %d,\n\
-    \  \"parallel_par4_applied\": %d,\n\
-    \  \"parallel_par4_rounds\": %d\n\
-     }\n"
-    n.host_cores n.par_seq_ups n.par4_ups n.par_speedup n.par_seq_applied n.par4_applied
-    n.par4_rounds;
-  close_out oc;
-  note "wrote %s" parallel_json_path
+  write_json parallel_json_path
+    [
+      ("parallel_host_cores", Json.Int n.host_cores);
+      ("parallel_seq_updates_per_sec", fixed 0 n.par_seq_ups);
+      ("parallel_par4_updates_per_sec", fixed 0 n.par4_ups);
+      ("parallel_speedup_4", fixed 2 n.par_speedup);
+      ("parallel_seq_applied", Json.Int n.par_seq_applied);
+      ("parallel_par4_applied", Json.Int n.par4_applied);
+      ("parallel_par4_rounds", Json.Int n.par4_rounds);
+    ]
 
 let exp_parallel () =
   section "Parallel engine (sequential vs 4 domains, sharded 100 sites)";
@@ -1427,54 +1456,32 @@ let exp_parallel () =
 
 let exp_parallel_check () =
   section "Parallel check (vs committed baseline)";
-  let baseline =
-    let ic = open_in parallel_json_path in
-    let len = in_channel_length ic in
-    let contents = really_input_string ic len in
-    close_in ic;
-    contents
-  in
   let fresh = measure_parallel () in
-  let failures = ref [] in
-  let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
-  (* Determinism: these are exact integers on every host. *)
-  let check_exact name ~fresh =
-    match json_number baseline name with
-    | None -> fail "%s: missing from baseline" name
-    | Some base ->
-        note "  %s: baseline=%.0f fresh=%d%s" name base fresh
-          (if float_of_int fresh <> base then "  MISMATCH" else "");
-        if float_of_int fresh <> base then
-          fail "%s: expected %.0f, got %d (parallel run not deterministic?)" name base
-            fresh
-  in
-  check_exact "parallel_seq_applied" ~fresh:fresh.par_seq_applied;
-  check_exact "parallel_par4_applied" ~fresh:fresh.par4_applied;
-  check_exact "parallel_par4_rounds" ~fresh:fresh.par4_rounds;
-  (* Performance: only meaningful with cores to spread over. *)
-  if fresh.host_cores >= 4 then begin
-    (match json_number baseline "parallel_par4_updates_per_sec" with
-    | None -> fail "parallel_par4_updates_per_sec: missing from baseline"
-    | Some base ->
-        note "  parallel_par4_updates_per_sec: baseline=%.0f fresh=%.0f" base
-          fresh.par4_ups;
-        if fresh.par4_ups *. 2. < base then
-          fail "parallel_par4_updates_per_sec regressed more than 2x (baseline %.0f, now %.0f)"
-            base fresh.par4_ups);
-    note "  parallel_speedup_4: fresh=%.2f (gate: >= 2.0 on a %d-core host)"
-      fresh.par_speedup fresh.host_cores;
-    if fresh.par_speedup < 2.0 then
-      fail "parallel speedup %.2fx < 2.0x on a %d-core host" fresh.par_speedup
-        fresh.host_cores
-  end
-  else
-    note "  host has %d cores (< 4): speedup and regression gates skipped"
-      fresh.host_cores;
-  match !failures with
-  | [] -> note "parallel engine within baseline"
-  | fs ->
-      List.iter (fun f -> Printf.eprintf "FAIL %s\n" f) fs;
-      exit 1
+  (* Determinism: these are exact integers on every host. Performance is
+     only meaningful with cores to spread over. *)
+  let cores = fresh.host_cores >= 4 in
+  check_against_baseline ~path:parallel_json_path ~ok:"parallel engine within baseline"
+    ([
+       ("parallel_seq_applied", Exact, 0, float_of_int fresh.par_seq_applied);
+       ("parallel_par4_applied", Exact, 0, float_of_int fresh.par4_applied);
+       ("parallel_par4_rounds", Exact, 0, float_of_int fresh.par4_rounds);
+     ]
+    @ if cores then [ ("parallel_par4_updates_per_sec", Min_half, 0, fresh.par4_ups) ] else [])
+    ~claims:(fun () ->
+      if cores then begin
+        note "  parallel_speedup_4: fresh=%.2f (gate: >= 2.0 on a %d-core host)"
+          fresh.par_speedup fresh.host_cores;
+        [
+          ( fresh.par_speedup >= 2.0,
+            Printf.sprintf "parallel speedup %.2fx < 2.0x on a %d-core host" fresh.par_speedup
+              fresh.host_cores );
+        ]
+      end
+      else begin
+        note "  host has %d cores (< 4): speedup and regression gates skipped"
+          fresh.host_cores;
+        []
+      end)
 
 (* --- observability overhead ---
 
@@ -1533,12 +1540,13 @@ let exp_obs_overhead () =
   note "sampled(1%%) runs at %.1f%% of tracing-off throughput; full tracing at %.1f%%"
     (100. *. ratio)
     (100. *. full_ups /. off_ups);
-  let oc = open_out obs_overhead_json_path in
-  Printf.fprintf oc
-    "{\n  \"off_updates_per_sec\": %.0f,\n  \"sampled_updates_per_sec\": %.0f,\n  \"full_updates_per_sec\": %.0f,\n  \"sampled_over_off\": %.3f\n}\n"
-    off_ups sampled_ups full_ups ratio;
-  close_out oc;
-  note "wrote %s" obs_overhead_json_path
+  write_json obs_overhead_json_path
+    [
+      ("off_updates_per_sec", fixed 0 off_ups);
+      ("sampled_updates_per_sec", fixed 0 sampled_ups);
+      ("full_updates_per_sec", fixed 0 full_ups);
+      ("sampled_over_off", fixed 3 ratio);
+    ]
 
 (* --- scale (gated topology benchmark) ---
 
@@ -1716,16 +1724,7 @@ let write_scale_json nums =
           points)
       [ ("full", nums.full); ("sharded", nums.sharded); ("central", nums.central) ]
   in
-  let oc = open_out scale_json_path in
-  output_string oc "{\n";
-  let last = List.length fields - 1 in
-  List.iteri
-    (fun i (name, v) ->
-      Printf.fprintf oc "  \"%s\": %.3f%s\n" name v (if i = last then "" else ","))
-    fields;
-  output_string oc "}\n";
-  close_out oc;
-  note "wrote %s" scale_json_path
+  write_json scale_json_path (List.map (fun (name, v) -> (name, fixed 3 v)) fields)
 
 let exp_scale () =
   section "Scale - message economy and footprint, 10 -> 1000 sites";
@@ -1735,55 +1734,33 @@ let exp_scale () =
 
 let exp_scale_check () =
   section "Scale check (vs committed baseline + structural claims)";
-  let baseline =
-    let ic = open_in scale_json_path in
-    let len = in_channel_length ic in
-    let contents = really_input_string ic len in
-    close_in ic;
-    contents
-  in
   let fresh = measure_scale () in
-  let failures = ref [] in
-  let check name ~fresh =
-    (* everything gated here is lower-is-better *)
-    match json_number baseline name with
-    | None -> failures := Printf.sprintf "%s: missing from baseline" name :: !failures
-    | Some base ->
-        let regressed = fresh > base *. 2. in
-        note "  %s: baseline=%.3f fresh=%.3f%s" name base fresh
-          (if regressed then "  REGRESSED" else "");
-        if regressed then
-          failures :=
-            Printf.sprintf "%s regressed more than 2x (baseline %.3f, now %.3f)" name
-              base fresh
-            :: !failures
-  in
-  List.iter
-    (fun (n, p) ->
-      check (Printf.sprintf "scale_sharded_msgs_per_update_n%d" n) ~fresh:p.sc_msgs;
-      check
-        (Printf.sprintf "scale_sharded_live_words_per_site_n%d" n)
-        ~fresh:p.sc_words_mean)
-    fresh.sharded;
   let msgs n points = (List.assoc n points).sc_msgs in
-  let claim cond msg = if not cond then failures := msg :: !failures in
-  claim
-    (msgs 1000 fresh.sharded *. 4. < msgs 1000 fresh.full)
-    (Printf.sprintf
-       "structural: sharded msgs/update at N=1000 (%.2f) not ≥4x below full \
-        replication (%.2f)"
-       (msgs 1000 fresh.sharded) (msgs 1000 fresh.full));
-  claim
-    (msgs 1000 fresh.sharded < msgs 10 fresh.sharded *. 8.)
-    (Printf.sprintf
-       "structural: sharded msgs/update grew super-linearly, %.2f at N=10 vs %.2f at \
-        N=1000"
-       (msgs 10 fresh.sharded) (msgs 1000 fresh.sharded));
-  match !failures with
-  | [] -> note "scale within 2x of baseline; structural claims hold"
-  | fs ->
-      List.iter (fun f -> Printf.eprintf "FAIL %s\n" f) fs;
-      exit 1
+  check_against_baseline ~path:scale_json_path
+    ~ok:"scale within 2x of baseline; structural claims hold"
+    (List.concat_map
+       (fun (n, p) ->
+         [
+           (Printf.sprintf "scale_sharded_msgs_per_update_n%d" n, Max_double, 3, p.sc_msgs);
+           ( Printf.sprintf "scale_sharded_live_words_per_site_n%d" n,
+             Max_double,
+             3,
+             p.sc_words_mean );
+         ])
+       fresh.sharded)
+    ~claims:(fun () ->
+      [
+        ( msgs 1000 fresh.sharded *. 4. < msgs 1000 fresh.full,
+          Printf.sprintf
+            "structural: sharded msgs/update at N=1000 (%.2f) not ≥4x below full \
+             replication (%.2f)"
+            (msgs 1000 fresh.sharded) (msgs 1000 fresh.full) );
+        ( msgs 1000 fresh.sharded < msgs 10 fresh.sharded *. 8.,
+          Printf.sprintf
+            "structural: sharded msgs/update grew super-linearly, %.2f at N=10 vs %.2f at \
+             N=1000"
+            (msgs 10 fresh.sharded) (msgs 1000 fresh.sharded) );
+      ])
 
 (* --- epoch-quorum commit vs Immediate Update (gated class benchmark) ---
 
@@ -1951,16 +1928,7 @@ let write_epoch_json nums =
           points)
       [ ("epoch", nums.ep_epoch); ("immediate", nums.ep_immediate) ]
   in
-  let oc = open_out epoch_json_path in
-  output_string oc "{\n";
-  let last = List.length fields - 1 in
-  List.iteri
-    (fun i (name, v) ->
-      Printf.fprintf oc "  \"%s\": %.3f%s\n" name v (if i = last then "" else ","))
-    fields;
-  output_string oc "}\n";
-  close_out oc;
-  note "wrote %s" epoch_json_path
+  write_json epoch_json_path (List.map (fun (name, v) -> (name, fixed 3 v)) fields)
 
 let exp_epoch () =
   section "Epoch-quorum commit vs Immediate Update (sharded, 100 -> 1000 sites)";
@@ -1968,46 +1936,31 @@ let exp_epoch () =
 
 let exp_epoch_check () =
   section "Epoch check (vs committed baseline + structural claims)";
-  let baseline =
-    let ic = open_in epoch_json_path in
-    let len = in_channel_length ic in
-    let contents = really_input_string ic len in
-    close_in ic;
-    contents
-  in
   let fresh = measure_epoch () in
-  let failures = ref [] in
-  let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
   (* Gates against the committed baseline. Virtual-time throughput is
      deterministic, so the 2x slack only covers deliberate retunes. *)
-  List.iter
-    (fun (n, (p : epoch_point)) ->
-      let name = Printf.sprintf "epoch_updates_per_sec_n%d" n in
-      match json_number baseline name with
-      | None -> fail "%s: missing from baseline" name
-      | Some base ->
-          note "  %s: baseline=%.0f fresh=%.0f" name base p.ep_ups;
-          if p.ep_ups *. 2. < base then
-            fail "%s regressed more than 2x (baseline %.0f, now %.0f)" name base p.ep_ups)
-    fresh.ep_epoch;
-  (* Structural claims, no baseline needed: the asynchronous class must
-     beat per-update 2PC by the batch economics it exists for. *)
-  let at n points = List.assoc n points in
-  let e1000 = at 1000 fresh.ep_epoch and i1000 = at 1000 fresh.ep_immediate in
-  note "  structural: N=1000 epoch %.0f upd/s vs immediate %.0f upd/s (%.2fx, gate >= 3x)"
-    e1000.ep_ups i1000.ep_ups
-    (e1000.ep_ups /. i1000.ep_ups);
-  if e1000.ep_ups < 3. *. i1000.ep_ups then
-    fail "epoch committed-updates/s at N=1000 (%.0f) below 3x the Immediate baseline (%.0f)"
-      e1000.ep_ups i1000.ep_ups;
-  if e1000.ep_msgs >= i1000.ep_msgs then
-    fail "epoch msgs/update at N=1000 (%.2f) not below Immediate (%.2f)" e1000.ep_msgs
-      i1000.ep_msgs;
-  match !failures with
-  | [] -> note "epoch class within baseline; structural claims hold"
-  | fs ->
-      List.iter (fun f -> Printf.eprintf "FAIL %s\n" f) fs;
-      exit 1
+  check_against_baseline ~path:epoch_json_path
+    ~ok:"epoch class within baseline; structural claims hold"
+    (List.map
+       (fun (n, (p : epoch_point)) ->
+         (Printf.sprintf "epoch_updates_per_sec_n%d" n, Min_half, 0, p.ep_ups))
+       fresh.ep_epoch)
+    ~claims:(fun () ->
+      (* Structural claims, no baseline needed: the asynchronous class must
+         beat per-update 2PC by the batch economics it exists for. *)
+      let e1000 = List.assoc 1000 fresh.ep_epoch and i1000 = List.assoc 1000 fresh.ep_immediate in
+      note "  structural: N=1000 epoch %.0f upd/s vs immediate %.0f upd/s (%.2fx, gate >= 3x)"
+        e1000.ep_ups i1000.ep_ups
+        (e1000.ep_ups /. i1000.ep_ups);
+      [
+        ( e1000.ep_ups >= 3. *. i1000.ep_ups,
+          Printf.sprintf
+            "epoch committed-updates/s at N=1000 (%.0f) below 3x the Immediate baseline (%.0f)"
+            e1000.ep_ups i1000.ep_ups );
+        ( e1000.ep_msgs < i1000.ep_msgs,
+          Printf.sprintf "epoch msgs/update at N=1000 (%.2f) not below Immediate (%.2f)"
+            e1000.ep_msgs i1000.ep_msgs );
+      ])
 
 (* --- registry --- *)
 

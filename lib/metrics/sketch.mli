@@ -9,8 +9,8 @@
     combined at export into one cluster-wide distribution without any
     loss beyond the per-sketch bucketing itself.
 
-    Unlike {!Histogram}, which stores every sample, a sketch never grows
-    past its bucket array (a few hundred ints for the default value
+    Unlike a list of every sample, a sketch never grows past its bucket
+    array (a few hundred ints for the default value
     range of 1e-3 .. 1e7); the bucket array itself is allocated lazily
     on the first positive value, so registering thousands of idle
     sketches costs a handful of words each. *)
