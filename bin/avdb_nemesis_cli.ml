@@ -56,22 +56,26 @@ let run seeds start seed_opt sites regular non_regular epoch ops horizon_ms cras
       domains;
     }
   in
-  let seed_list =
-    match seed_opt with
-    | Some s -> [ s ]
-    | None -> List.init seeds (fun i -> start + i)
-  in
-  let failures =
-    List.filter (fun seed -> not (run_seed ~cfg ~verbose ~out seed)) seed_list
-  in
-  match failures with
-  | [] ->
-      Format.printf "all %d seeds passed@." (List.length seed_list);
-      0
-  | fs ->
-      Format.printf "FAILING SEEDS: %s@."
-        (String.concat " " (List.map string_of_int fs));
-      1
+  (* An invalid configuration is a usage error (exit 124), not a crash. *)
+  match Nemesis.validate cfg with
+  | Error e -> `Error (false, e)
+  | Ok () ->
+      let seed_list =
+        match seed_opt with
+        | Some s -> [ s ]
+        | None -> List.init seeds (fun i -> start + i)
+      in
+      let failures =
+        List.filter (fun seed -> not (run_seed ~cfg ~verbose ~out seed)) seed_list
+      in
+      match failures with
+      | [] ->
+          Format.printf "all %d seeds passed@." (List.length seed_list);
+          `Ok 0
+      | fs ->
+          Format.printf "FAILING SEEDS: %s@."
+            (String.concat " " (List.map string_of_int fs));
+          `Ok 1
 
 let seeds_arg =
   Arg.(value & opt int 20 & info [ "seeds" ] ~docv:"N" ~doc:"Number of seeds to sweep.")
@@ -201,9 +205,10 @@ let cmd =
   Cmd.v
     (Cmd.info "avdb-nemesis" ~doc)
     Term.(
-      const run $ seeds_arg $ start_arg $ seed_arg $ sites_arg $ regular_arg
-      $ non_regular_arg $ epoch_arg $ ops_arg $ horizon_arg $ crashes_arg $ partitions_arg
-      $ net_windows_arg $ no_crash_base_arg $ oracle_arg $ spread_arg $ hierarchy_arg
-      $ disk_faults_arg $ domains_arg $ mutate_arg $ verbose_arg $ out_arg)
+      ret
+        (const run $ seeds_arg $ start_arg $ seed_arg $ sites_arg $ regular_arg
+        $ non_regular_arg $ epoch_arg $ ops_arg $ horizon_arg $ crashes_arg $ partitions_arg
+        $ net_windows_arg $ no_crash_base_arg $ oracle_arg $ spread_arg $ hierarchy_arg
+        $ disk_faults_arg $ domains_arg $ mutate_arg $ verbose_arg $ out_arg))
 
 let () = exit (Cmd.eval' cmd)

@@ -129,135 +129,139 @@ let run retailers items initial updates update_class mode allocation selection g
       maker_weight;
     }
   in
-  let cluster = Cluster.create config in
-  let workload =
-    match spread with
-    | None -> Scm.create spec ~seed
-    | Some _ ->
-        let subscribers item =
-          let topo = Cluster.topology cluster in
-          let base = Topology.base_index topo ~item in
-          Array.of_list
-            (base :: List.filter (fun i -> i <> base) (Cluster.subscribers cluster ~item))
-        in
-        Scm.create_sharded spec ~subscribers ~seed
-  in
-  (* --check threads every submission through the oracle's history
-     recorder (one per shard, merged at the end); the verdict prints after
-     quiescence. *)
-  let recorders =
-    if not check then None
-    else
-      Some
-        (Array.map
-           (fun tr ->
-             let h = Avdb_check.History.create () in
-             ignore (Avdb_check.History.attach_trace h tr);
-             h)
-           (Cluster.traces cluster))
-  in
-  let submit =
-    match recorders with
-    | None -> fun site ~item ~delta k -> Site.submit_update site ~item ~delta k
-    | Some hs ->
-        let engines = Cluster.engines cluster in
-        fun site ~item ~delta k ->
-          let shard =
-            Cluster.domain_of_site cluster (Avdb_net.Address.to_int (Site.addr site))
-          in
-          Avdb_check.History.submit_update hs.(shard) ~engine:engines.(shard) site ~item
-            ~delta k
-  in
-  let outcome =
-    Runner.run cluster ~nth_update:(Scm.generator workload) ~total_updates:updates
-      ~checkpoint_every:(Stdlib.max 1 (updates / checkpoints)) ~submit ()
-  in
-  let final = outcome.Runner.final in
-  let sharded = Cluster.n_domains cluster > 1 in
-  let table =
-    Ascii_table.create
-      ~headers:([ "updates"; "correspondences" ]
-               @ List.init n_sites (fun i -> Printf.sprintf "site%d" i))
-  in
-  (* Several shards take no mid-run checkpoints: the table is the final row. *)
-  List.iter
-    (fun (c : Runner.checkpoint) ->
-      Ascii_table.add_int_row table
-        (string_of_int c.Runner.updates_done)
-        (c.Runner.total_correspondences
-        :: List.init n_sites (fun i ->
-               try List.assoc i c.Runner.per_site_correspondences with Not_found -> 0)))
-    (if sharded then [ final ] else outcome.Runner.checkpoints);
-  if csv then print_endline (Ascii_table.to_csv table)
-  else begin
-    Format.printf "%a@." Config.pp config;
-    if sharded then
-      Printf.printf "parallel engine: %d shards, window %.1f ms, %d rounds\n"
-        (Cluster.n_domains cluster)
-        (Avdb_sim.Time.to_ms (Cluster.window cluster))
-        (Cluster.rounds cluster);
-    print_endline (Ascii_table.render table);
-    Printf.printf "\napplied %d / rejected %d of %d updates\n" final.Runner.applied
-      final.Runner.rejected updates;
-    Array.iter
-      (fun s ->
-        let m = Site.metrics s in
-        Printf.printf
-          "%s: submitted=%d local=%d transfer=%d immediate=%d central=%d rejected=%d \
-           av_req=%d p99_latency=%.1fms\n"
-          (Avdb_net.Address.to_string (Site.addr s))
-          m.Update.Metrics.submitted m.Update.Metrics.applied_local
-          m.Update.Metrics.applied_transfer m.Update.Metrics.applied_immediate
-          m.Update.Metrics.applied_central m.Update.Metrics.rejected
-          m.Update.Metrics.av_requests_sent
-          (let h = m.Update.Metrics.latency in
-           if Sketch.count h = 0 then 0. else Sketch.percentile h 99.))
-      (Cluster.sites cluster);
-    if config.Config.mode = Config.Autonomous then begin
-      Cluster.flush_all_syncs cluster;
-      match Cluster.check_invariants cluster with
-      | Ok () -> print_endline "invariants: OK (replicas agree; AV conserved)"
-      | Error e -> Printf.printf "invariants: VIOLATED - %s\n" e
-    end
-  end;
-  (* Observability artifacts; a .jsonl suffix selects line-delimited JSON
-     over the default Chrome trace / CSV shape. The Chrome and CSV shapes
-     render one shard's tracer or registry, so a sharded run always writes
-     the merged JSONL. *)
-  let module Exporter = Avdb_obs.Exporter in
-  let jsonl path = sharded || Filename.check_suffix path ".jsonl" in
-  Option.iter
-    (fun path ->
-      let spans = Cluster.spans cluster in
-      let contents =
-        if jsonl path then Exporter.spans_jsonl spans
-        else Exporter.chrome_trace (Cluster.tracer cluster)
+  (* An invalid configuration is a usage error (exit 124), not a crash. *)
+  match Config.validate config with
+  | Error e -> `Error (false, e)
+  | Ok () ->
+      let cluster = Cluster.create config in
+      let workload =
+        match spread with
+        | None -> Scm.create spec ~seed
+        | Some _ ->
+            let subscribers item =
+              let topo = Cluster.topology cluster in
+              let base = Topology.base_index topo ~item in
+              Array.of_list
+                (base :: List.filter (fun i -> i <> base) (Cluster.subscribers cluster ~item))
+            in
+            Scm.create_sharded spec ~subscribers ~seed
       in
-      Exporter.write_file ~path contents;
-      Printf.eprintf "wrote %d spans to %s\n%!" (List.length spans) path)
-    trace_out;
-  Option.iter
-    (fun path ->
-      if config.Config.snapshot_interval = None then Cluster.snapshot_now cluster;
-      let samples = Cluster.metric_samples cluster in
-      let contents =
-        if jsonl path then Exporter.metrics_jsonl samples
+      (* --check threads every submission through the oracle's history
+         recorder (one per shard, merged at the end); the verdict prints after
+         quiescence. *)
+      let recorders =
+        if not check then None
         else
-          let wide = if metrics_wide then Some true else None in
-          Exporter.metrics_csv ?wide (Cluster.registry cluster)
+          Some
+            (Array.map
+               (fun tr ->
+                 let h = Avdb_check.History.create () in
+                 ignore (Avdb_check.History.attach_trace h tr);
+                 h)
+               (Cluster.traces cluster))
       in
-      Exporter.write_file ~path contents;
-      Printf.eprintf "wrote %d metric samples to %s\n%!" (List.length samples) path)
-    metrics_out;
-  match recorders with
-  | None -> 0
-  | Some hs ->
-      if config.Config.mode = Config.Autonomous then Cluster.flush_all_syncs cluster;
-      let history = Avdb_check.History.merge (Array.to_list hs) in
-      let snapshot = Avdb_check.Checker.snapshot_of_cluster cluster in
-      let verdict = Avdb_check.Checker.check ~quiescent:true ~history snapshot in
-      Format.printf "%a@." Avdb_check.Checker.pp_verdict verdict;
-      if Avdb_check.Checker.ok verdict then 0 else 1
+      let submit =
+        match recorders with
+        | None -> fun site ~item ~delta k -> Site.submit_update site ~item ~delta k
+        | Some hs ->
+            let engines = Cluster.engines cluster in
+            fun site ~item ~delta k ->
+              let shard =
+                Cluster.domain_of_site cluster (Avdb_net.Address.to_int (Site.addr site))
+              in
+              Avdb_check.History.submit_update hs.(shard) ~engine:engines.(shard) site ~item
+                ~delta k
+      in
+      let outcome =
+        Runner.run cluster ~nth_update:(Scm.generator workload) ~total_updates:updates
+          ~checkpoint_every:(Stdlib.max 1 (updates / checkpoints)) ~submit ()
+      in
+      let final = outcome.Runner.final in
+      let sharded = Cluster.n_domains cluster > 1 in
+      let table =
+        Ascii_table.create
+          ~headers:([ "updates"; "correspondences" ]
+                   @ List.init n_sites (fun i -> Printf.sprintf "site%d" i))
+      in
+      (* Several shards take no mid-run checkpoints: the table is the final row. *)
+      List.iter
+        (fun (c : Runner.checkpoint) ->
+          Ascii_table.add_int_row table
+            (string_of_int c.Runner.updates_done)
+            (c.Runner.total_correspondences
+            :: List.init n_sites (fun i ->
+                   try List.assoc i c.Runner.per_site_correspondences with Not_found -> 0)))
+        (if sharded then [ final ] else outcome.Runner.checkpoints);
+      if csv then print_endline (Ascii_table.to_csv table)
+      else begin
+        Format.printf "%a@." Config.pp config;
+        if sharded then
+          Printf.printf "parallel engine: %d shards, window %.1f ms, %d rounds\n"
+            (Cluster.n_domains cluster)
+            (Avdb_sim.Time.to_ms (Cluster.window cluster))
+            (Cluster.rounds cluster);
+        print_endline (Ascii_table.render table);
+        Printf.printf "\napplied %d / rejected %d of %d updates\n" final.Runner.applied
+          final.Runner.rejected updates;
+        Array.iter
+          (fun s ->
+            let m = Site.metrics s in
+            Printf.printf
+              "%s: submitted=%d local=%d transfer=%d immediate=%d central=%d rejected=%d \
+               av_req=%d p99_latency=%.1fms\n"
+              (Avdb_net.Address.to_string (Site.addr s))
+              m.Update.Metrics.submitted m.Update.Metrics.applied_local
+              m.Update.Metrics.applied_transfer m.Update.Metrics.applied_immediate
+              m.Update.Metrics.applied_central m.Update.Metrics.rejected
+              m.Update.Metrics.av_requests_sent
+              (let h = m.Update.Metrics.latency in
+               if Sketch.count h = 0 then 0. else Sketch.percentile h 99.))
+          (Cluster.sites cluster);
+        if config.Config.mode = Config.Autonomous then begin
+          Cluster.flush_all_syncs cluster;
+          match Cluster.check_invariants cluster with
+          | Ok () -> print_endline "invariants: OK (replicas agree; AV conserved)"
+          | Error e -> Printf.printf "invariants: VIOLATED - %s\n" e
+        end
+      end;
+      (* Observability artifacts; a .jsonl suffix selects line-delimited JSON
+         over the default Chrome trace / CSV shape. The Chrome and CSV shapes
+         render one shard's tracer or registry, so a sharded run always writes
+         the merged JSONL. *)
+      let module Exporter = Avdb_obs.Exporter in
+      let jsonl path = sharded || Filename.check_suffix path ".jsonl" in
+      Option.iter
+        (fun path ->
+          let spans = Cluster.spans cluster in
+          let contents =
+            if jsonl path then Exporter.spans_jsonl spans
+            else Exporter.chrome_trace (Cluster.tracer cluster)
+          in
+          Exporter.write_file ~path contents;
+          Printf.eprintf "wrote %d spans to %s\n%!" (List.length spans) path)
+        trace_out;
+      Option.iter
+        (fun path ->
+          if config.Config.snapshot_interval = None then Cluster.snapshot_now cluster;
+          let samples = Cluster.metric_samples cluster in
+          let contents =
+            if jsonl path then Exporter.metrics_jsonl samples
+            else
+              let wide = if metrics_wide then Some true else None in
+              Exporter.metrics_csv ?wide (Cluster.registry cluster)
+          in
+          Exporter.write_file ~path contents;
+          Printf.eprintf "wrote %d metric samples to %s\n%!" (List.length samples) path)
+        metrics_out;
+      match recorders with
+      | None -> `Ok 0
+      | Some hs ->
+          if config.Config.mode = Config.Autonomous then Cluster.flush_all_syncs cluster;
+          let history = Avdb_check.History.merge (Array.to_list hs) in
+          let snapshot = Avdb_check.Checker.snapshot_of_cluster cluster in
+          let verdict = Avdb_check.Checker.check ~quiescent:true ~history snapshot in
+          Format.printf "%a@." Avdb_check.Checker.pp_verdict verdict;
+          `Ok (if Avdb_check.Checker.ok verdict then 0 else 1)
 
 let cmd =
   let retailers =
@@ -442,12 +446,12 @@ let cmd =
   in
   let term =
     Term.(
-      const run $ retailers $ items $ initial $ updates $ update_class $ mode $ allocation
-      $ selection
-      $ granting $ skew $ maker_weight $ spread $ hierarchy $ domains $ latency_ms $ drop
-      $ dup $ reorder $ rpc_retries $ rpc_backoff_ms $ sync_ms $ prefetch $ seed
-      $ checkpoints $ csv $ trace_sample $ trace_slow_ms $ trace_out $ metrics_out
-      $ metrics_wide $ snapshot_every_ms $ check $ mutations)
+      ret
+        (const run $ retailers $ items $ initial $ updates $ update_class $ mode $ allocation
+        $ selection $ granting $ skew $ maker_weight $ spread $ hierarchy $ domains $ latency_ms
+        $ drop $ dup $ reorder $ rpc_retries $ rpc_backoff_ms $ sync_ms $ prefetch $ seed
+        $ checkpoints $ csv $ trace_sample $ trace_slow_ms $ trace_out $ metrics_out
+        $ metrics_wide $ snapshot_every_ms $ check $ mutations))
   in
   Cmd.v
     (Cmd.info "avdb-sim" ~version:"1.0.0"

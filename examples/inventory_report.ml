@@ -1,7 +1,7 @@
 (* A trading day at retailer site 1: Poisson customer orders drain stock
    under Delay Update while the maker keeps producing; at close of business
-   the local database answers inventory queries (the query layer runs on
-   the site's replica - no network involved, the whole point of autonomy).
+   the local database answers inventory queries (one fold over the site's
+   replica - no network involved, the whole point of autonomy).
 
    Run with: dune exec examples/inventory_report.exe *)
 
@@ -61,33 +61,33 @@ let () =
     (Cluster.total_correspondences cluster);
 
   let stock = Database.table (Site.database retailer) Site.stock_table in
-  let ok = function Ok v -> v | Error e -> failwith e in
+  (* One pass over the local replica: (sku, amount) in key order. *)
+  let amount = Schema.index (Table.schema stock) "amount" in
+  let rows =
+    Table.fold stock ~init:[] ~f:(fun acc key row -> (key, Value.as_int row.(amount)) :: acc)
+    |> List.rev
+  in
+  let total = List.fold_left (fun acc (_, n) -> acc + n) 0 rows in
+  let n_skus = List.length rows in
 
   print_endline "Inventory report (queried on the retailer's local replica):";
-  Printf.printf "  total units on hand: %d\n" (ok (Query.sum_int stock ~col:"amount" ()));
-  Printf.printf "  distinct SKUs:       %d\n" (ok (Query.count stock ()));
-  (match ok (Query.avg_int stock ~col:"amount" ()) with
-  | Some avg -> Printf.printf "  average per SKU:     %.1f\n" avg
-  | None -> ());
+  Printf.printf "  total units on hand: %d\n" total;
+  Printf.printf "  distinct SKUs:       %d\n" n_skus;
+  if n_skus > 0 then
+    Printf.printf "  average per SKU:     %.1f\n" (float_of_int total /. float_of_int n_skus);
 
-  print_endline "\n  Low-stock SKUs (amount < 40, worst first):";
-  let low =
-    ok
-      (Query.select stock
-         ~where:(Query.Lt ("amount", Value.Int 40))
-         ~order_by:(Query.Asc "amount") ())
+  (* Ascending by amount, ties by SKU. *)
+  let by_amount =
+    List.stable_sort
+      (fun (ka, a) (kb, b) -> match compare a b with 0 -> String.compare ka kb | c -> c)
+      rows
   in
-  List.iter
-    (fun r ->
-      Printf.printf "    %-6s %3d units\n" r.Query.key (Value.as_int r.Query.values.(0)))
-    low;
+  let print_row (key, n) = Printf.printf "    %-6s %3d units\n" key n in
+  print_endline "\n  Low-stock SKUs (amount < 40, worst first):";
+  List.iter print_row (List.filter (fun (_, n) -> n < 40) by_amount);
 
   print_endline "\n  Top 3 best-stocked SKUs:";
-  let top = ok (Query.select stock ~order_by:(Query.Desc "amount") ~limit:3 ()) in
-  List.iter
-    (fun r ->
-      Printf.printf "    %-6s %3d units\n" r.Query.key (Value.as_int r.Query.values.(0)))
-    top;
+  List.iteri (fun i r -> if i < 3 then print_row r) (List.rev by_amount);
 
   print_endline "\n  AV standing at the retailer (available/held):";
   let av = Site.av_table retailer in

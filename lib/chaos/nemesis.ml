@@ -212,9 +212,12 @@ let mk_config cfg =
     seed = cfg.seed;
   }
 
+let validate cfg =
+  if cfg.domains > 1 && cfg.disk_faults then Error "disk_faults not supported with domains > 1"
+  else Config.validate (mk_config cfg)
+
 let execute cfg schedule =
-  if cfg.domains > 1 && cfg.disk_faults then
-    invalid_arg "Nemesis.execute: disk_faults not supported with domains > 1";
+  (match validate cfg with Ok () -> () | Error e -> invalid_arg ("Nemesis.execute: " ^ e));
   let config = mk_config cfg in
   let cluster = Cluster.create config in
   let site = Cluster.site cluster in

@@ -141,10 +141,16 @@ type stats = {
 type outcome = { violations : string list; stats : stats }
 (** [violations = []] means every invariant held. *)
 
+val validate : config -> (unit, string) result
+(** [Error] when [config] describes no runnable cluster: the
+    {!Avdb_core.Config.validate} failures of the cluster it builds, or
+    [disk_faults] with [domains > 1]. *)
+
 val execute : config -> fault list -> outcome
 (** Build a fresh cluster from [config], inject the schedule over the
     workload, heal + recover everything at the horizon, drain to
-    quiescence and evaluate the invariants. Deterministic. *)
+    quiescence and evaluate the invariants. Deterministic. Raises
+    [Invalid_argument] when {!validate} fails. *)
 
 type report = {
   config : config;

@@ -71,7 +71,7 @@ type t = {
   record_history : bool;
       (** when true every applied local update also appends a row to a
           ["history"] audit table (item, delta, path) in the same storage
-          engine — queryable with {!Avdb_store.Query} and recovered with
+          engine — read with {!Avdb_store.Table.fold} and recovered with
           the WAL like any other table *)
   tracing : bool;
       (** when false the cluster's span tracer runs disabled: hot paths

@@ -38,8 +38,7 @@ type t = {
 }
 
 let new_locks core =
-  Lock_manager.create ~engine:(C.engine core)
-    ~default_timeout:(C.config core).Config.lock_timeout ()
+  Lock_manager.create ~engine:(C.engine core) ~timeout:(C.config core).Config.lock_timeout
 
 let create core =
   {
@@ -304,8 +303,7 @@ let handle_prepare im ~span ~txid ~coordinator ~cohort ~item ~delta ~reply =
     reply (Protocol.Vote { txid; vote = Two_phase.Refuse })
   end
   else
-    Lock_manager.acquire im.locks ~owner:txid ~key:item Lock_manager.Exclusive
-      ~timeout:(config im).Config.lock_timeout
+    Lock_manager.acquire im.locks ~owner:txid ~key:item
       (C.fenced core (fun lock_result ->
            let can_apply =
              match lock_result with
@@ -526,8 +524,7 @@ let submit im ~item ~delta ~finish =
         Hashtbl.remove im.coordinators txid
   in
   (* Local participation: lock, tentatively apply, derive the local vote. *)
-  Lock_manager.acquire im.locks ~owner:txid ~key:item Lock_manager.Exclusive
-    ~timeout:(config im).Config.lock_timeout
+  Lock_manager.acquire im.locks ~owner:txid ~key:item
     (C.fenced core (fun lock_result ->
          let local_vote =
            match lock_result with
@@ -560,8 +557,7 @@ let submit im ~item ~delta ~finish =
 let reinstall_in_doubt im (e : Txn_log.entry) =
   let core = im.core in
   let txid = e.Txn_log.txid in
-  Lock_manager.acquire im.locks ~owner:txid ~key:e.Txn_log.item Lock_manager.Exclusive
-    ~timeout:(config im).Config.lock_timeout
+  Lock_manager.acquire im.locks ~owner:txid ~key:e.Txn_log.item
     (C.fenced core (fun lock_result ->
          match lock_result with
          | Error `Timeout ->

@@ -1,35 +1,32 @@
 open Avdb_sim
 
-type mode = Shared | Exclusive
-
 type owner = int
 
 type waiter = {
   w_owner : owner;
-  w_mode : mode;
   continuation : (unit, [ `Timeout ]) result -> unit;
   timeout_handle : Engine.handle;
   mutable done_ : bool;  (* granted or timed out; a dead waiter is skipped *)
 }
 
-type lock_state = { mutable holders : (owner * mode) list; mutable queue : waiter list }
+type lock_state = { mutable holder : owner option; mutable queue : waiter list }
 (* queue is oldest-first. *)
 
 type t = {
   engine : Engine.t;
-  default_timeout : Time.t;
+  timeout : Time.t;
   locks : (string, lock_state) Hashtbl.t;
   by_owner : (owner, (string, unit) Hashtbl.t) Hashtbl.t;
 }
 
-let create ~engine ?(default_timeout = Time.of_sec 1.) () =
-  { engine; default_timeout; locks = Hashtbl.create 64; by_owner = Hashtbl.create 16 }
+let create ~engine ~timeout =
+  { engine; timeout; locks = Hashtbl.create 64; by_owner = Hashtbl.create 16 }
 
 let state t key =
   match Hashtbl.find_opt t.locks key with
   | Some s -> s
   | None ->
-      let s = { holders = []; queue = [] } in
+      let s = { holder = None; queue = [] } in
       Hashtbl.add t.locks key s;
       s
 
@@ -51,30 +48,15 @@ let note_released t owner key =
       Hashtbl.remove keys key;
       if Hashtbl.length keys = 0 then Hashtbl.remove t.by_owner owner
 
-let compatible mode holders =
-  match mode with
-  | Shared -> List.for_all (fun (_, m) -> m = Shared) holders
-  | Exclusive -> holders = []
+let grantable state ~owner =
+  match state.holder with None -> true | Some o -> o = owner
 
-(* Can a request be granted given current holders? Upgrade case: a Shared
-   holder asking Exclusive is grantable when it is the only holder. *)
-let grantable state ~owner ~mode =
-  let others = List.filter (fun (o, _) -> o <> owner) state.holders in
-  match List.assoc_opt owner state.holders with
-  | Some Exclusive -> true
-  | Some Shared -> ( match mode with Shared -> true | Exclusive -> others = [])
-  | None -> compatible mode others && compatible mode state.holders
+let grant t key state owner =
+  state.holder <- Some owner;
+  note_held t owner key
 
-let set_holder state owner mode =
-  let others = List.filter (fun (o, _) -> o <> owner) state.holders in
-  let current = List.assoc_opt owner state.holders in
-  let final =
-    match (current, mode) with Some Exclusive, _ -> Exclusive | _, m -> m
-  in
-  state.holders <- others @ [ (owner, final) ]
-
-(* Grant queued waiters in FIFO order; stop at the first non-grantable
-   waiter so exclusive requests cannot starve behind a shared stream. *)
+(* Grant queued waiters in FIFO order, skipping dead ones; stop at the
+   first live waiter that cannot be granted. *)
 let rec pump t key state =
   match state.queue with
   | [] -> ()
@@ -82,25 +64,21 @@ let rec pump t key state =
       state.queue <- rest;
       pump t key state
   | w :: rest ->
-      if grantable state ~owner:w.w_owner ~mode:w.w_mode then begin
+      if grantable state ~owner:w.w_owner then begin
         state.queue <- rest;
         w.done_ <- true;
         Engine.cancel t.engine w.timeout_handle;
-        set_holder state w.w_owner w.w_mode;
-        note_held t w.w_owner key;
+        grant t key state w.w_owner;
         w.continuation (Ok ());
         pump t key state
       end
 
-let acquire t ~owner ~key mode ?timeout continuation =
-  let timeout = Option.value timeout ~default:t.default_timeout in
+let acquire t ~owner ~key continuation =
   let s = state t key in
   let no_live_waiters = List.for_all (fun w -> w.done_) s.queue in
-  (* Grant immediately only when nobody is queued ahead (no barging past
-     waiting exclusives). *)
-  if no_live_waiters && grantable s ~owner ~mode then begin
-    set_holder s owner mode;
-    note_held t owner key;
+  (* Grant immediately only when nobody is queued ahead (no barging). *)
+  if no_live_waiters && grantable s ~owner then begin
+    grant t key s owner;
     continuation (Ok ())
   end
   else begin
@@ -108,10 +86,9 @@ let acquire t ~owner ~key mode ?timeout continuation =
       lazy
         {
           w_owner = owner;
-          w_mode = mode;
           continuation;
           timeout_handle =
-            Engine.schedule t.engine ~delay:timeout (fun () ->
+            Engine.schedule t.engine ~delay:t.timeout (fun () ->
                 let w = Lazy.force waiter in
                 if not w.done_ then begin
                   w.done_ <- true;
@@ -126,13 +103,14 @@ let acquire t ~owner ~key mode ?timeout continuation =
 let release t ~owner ~key =
   match Hashtbl.find_opt t.locks key with
   | None -> ()
-  | Some s ->
-      if List.mem_assoc owner s.holders then begin
-        s.holders <- List.filter (fun (o, _) -> o <> owner) s.holders;
-        note_released t owner key;
-        pump t key s;
-        if s.holders = [] && s.queue = [] then Hashtbl.remove t.locks key
-      end
+  | Some s -> (
+      match s.holder with
+      | Some o when o = owner ->
+          s.holder <- None;
+          note_released t owner key;
+          pump t key s;
+          if s.holder = None && s.queue = [] then Hashtbl.remove t.locks key
+      | _ -> ())
 
 let release_all t ~owner =
   (* Drop queued requests first so releasing keys cannot re-grant them. *)
@@ -152,75 +130,10 @@ let release_all t ~owner =
       let key_list = Hashtbl.fold (fun k () acc -> k :: acc) keys [] in
       List.iter (fun key -> release t ~owner ~key) key_list
 
-let holders t ~key =
-  match Hashtbl.find_opt t.locks key with None -> [] | Some s -> s.holders
-
-let is_held t ~key = holders t ~key <> []
+let holder t ~key =
+  match Hashtbl.find_opt t.locks key with None -> None | Some s -> s.holder
 
 let waiting t ~key =
   match Hashtbl.find_opt t.locks key with
   | None -> 0
   | Some s -> List.length (List.filter (fun w -> not w.done_) s.queue)
-
-let wait_for_graph t =
-  let edges = Hashtbl.create 16 in
-  let add_edge waiter blocker =
-    if waiter <> blocker then begin
-      let existing = Option.value ~default:[] (Hashtbl.find_opt edges waiter) in
-      if not (List.mem blocker existing) then Hashtbl.replace edges waiter (blocker :: existing)
-    end
-  in
-  Hashtbl.iter
-    (fun _key s ->
-      let ahead = ref (List.map fst s.holders) in
-      List.iter
-        (fun w ->
-          if not w.done_ then begin
-            List.iter (add_edge w.w_owner) !ahead;
-            ahead := w.w_owner :: !ahead
-          end)
-        s.queue)
-    t.locks;
-  Hashtbl.fold (fun waiter blockers acc -> (waiter, List.sort compare blockers) :: acc) edges []
-  |> List.sort compare
-
-let find_deadlock t =
-  let graph = wait_for_graph t in
-  let successors o = Option.value ~default:[] (List.assoc_opt o graph) in
-  (* DFS with an explicit path to report the cycle. *)
-  let visited = Hashtbl.create 16 in
-  let rec dfs path path_set o =
-    if List.mem o path_set then begin
-      (* [path] is newest-first and starts with the re-visited [o]; the
-         cycle is everything after that head up to (and including) the
-         earlier occurrence of [o]. *)
-      let rec take = function
-        | [] -> []
-        | x :: rest -> if x = o then [ x ] else x :: take rest
-      in
-      let body = match path with [] -> [] | _newest :: rest -> take rest in
-      Some (List.rev body)
-    end
-    else if Hashtbl.mem visited o then None
-    else begin
-      Hashtbl.add visited o ();
-      let rec try_succ = function
-        | [] -> None
-        | next :: rest -> (
-            match dfs (next :: path) (o :: path_set) next with
-            | Some cycle -> Some cycle
-            | None -> try_succ rest)
-      in
-      try_succ (successors o)
-    end
-  in
-  let rec scan = function
-    | [] -> None
-    | (o, _) :: rest -> ( match dfs [ o ] [] o with Some c -> Some c | None -> scan rest)
-  in
-  scan graph
-
-let held_keys t ~owner =
-  match Hashtbl.find_opt t.by_owner owner with
-  | None -> []
-  | Some keys -> Hashtbl.fold (fun k () acc -> k :: acc) keys [] |> List.sort String.compare

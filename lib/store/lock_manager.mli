@@ -1,62 +1,39 @@
-(** Key-granularity shared/exclusive locks with FIFO waiting.
+(** Key-granularity exclusive locks with FIFO waiting.
 
     Built for the event-driven simulation: [acquire] never blocks, it
     invokes a continuation when the lock is granted (possibly immediately)
     or when the request times out. Deadlocks resolve through timeouts —
     appropriate here because the paper's protocols (primary-copy Immediate
-    Update) acquire in a fixed site order and should not deadlock; the
+    Update) lock one item per transaction and should not deadlock; the
     timeout is a safety net that also covers crashed lock holders. *)
 
 type t
-
-type mode = Shared | Exclusive
 
 type owner = int
 (** Opaque owner id — the caller chooses the numbering (e.g. transaction
     ids). *)
 
-val create : engine:Avdb_sim.Engine.t -> ?default_timeout:Avdb_sim.Time.t -> unit -> t
-(** [default_timeout] defaults to 1 s of virtual time. *)
+val create : engine:Avdb_sim.Engine.t -> timeout:Avdb_sim.Time.t -> t
+(** [timeout] bounds how long a queued request waits before its
+    continuation receives [Error `Timeout]. *)
 
-val acquire :
-  t ->
-  owner:owner ->
-  key:string ->
-  mode ->
-  ?timeout:Avdb_sim.Time.t ->
-  ((unit, [ `Timeout ]) result -> unit) ->
-  unit
-(** Requests the lock; the continuation fires exactly once. Re-acquiring a
-    lock already held at the same or weaker mode grants immediately; an
-    upgrade [Shared -> Exclusive] grants immediately when the owner is the
-    sole holder and otherwise queues. Grants are FIFO except that
-    compatible shared requests may be granted together. *)
+val acquire : t -> owner:owner -> key:string -> ((unit, [ `Timeout ]) result -> unit) -> unit
+(** Requests the lock; the continuation fires exactly once. The request is
+    granted at once when nobody is queued for the key and the key is free
+    or already held by [owner] (a re-acquire). Otherwise it queues — even
+    the holder's re-acquire does not barge past a live waiter — and queued
+    requests are granted in FIFO order. *)
 
 val release : t -> owner:owner -> key:string -> unit
-(** Releases one key; grants any newly-compatible waiters. Unknown
+(** Releases one key and grants the next live waiter. Unknown
     (owner, key) pairs are ignored. *)
 
 val release_all : t -> owner:owner -> unit
-(** Releases every key held by the owner and drops its queued requests. *)
+(** Releases every key held by the owner, drops its queued requests and
+    cancels their timers. *)
 
-val holders : t -> key:string -> (owner * mode) list
-val is_held : t -> key:string -> bool
+val holder : t -> key:string -> owner option
+(** Diagnostic: the current holder of the key, if any. *)
+
 val waiting : t -> key:string -> int
 (** Number of queued (not yet granted) requests for the key. *)
-
-val held_keys : t -> owner:owner -> string list
-(** Sorted. *)
-
-(** {2 Deadlock detection}
-
-    Timeouts already guarantee progress; these hooks let a policy layer
-    (or a test) find cycles {e before} timers fire. *)
-
-val wait_for_graph : t -> (owner * owner list) list
-(** For every live waiter: the distinct owners it waits on — current
-    holders of its key plus live waiters queued ahead of it (grants are
-    FIFO). Sorted by waiter. *)
-
-val find_deadlock : t -> owner list option
-(** Some cycle [o1; o2; ...; on] (each waits on the next, [on] on [o1]),
-    or [None] when the wait-for graph is acyclic. *)

@@ -12,10 +12,8 @@
    counters and the protocol-log index — records how many segments and
    frames had been synced, so recovery can tell a torn tail (damage
    beyond the synced point: benign, recover the prefix) from real data
-   loss or corruption (damage inside it). The manifest is
-   compaction-aware by construction: it is rebuilt from the live log at
-   every sync point, so a compacted log simply produces a fresh, shorter
-   image and manifest. *)
+   loss or corruption (damage inside it). The manifest is rebuilt from
+   the live log at every sync point. *)
 
 type manifest = { segments : int; frames : int }
 

@@ -9,8 +9,7 @@
     the protocol-log index): it pins how many segments and frames had
     been synced, which is what lets recovery tell a benign torn tail
     (damage beyond the synced point) from data loss or corruption inside
-    it. It is compaction-aware by construction, being rebuilt from the
-    live log at every sync point. *)
+    it. It is rebuilt from the live log at every sync point. *)
 
 type manifest = { segments : int; frames : int }
 

@@ -1,83 +1,35 @@
-module Value_map = Map.Make (Value)
-module String_set = Set.Make (String)
+(* Rows live in a hash table keyed by primary key: point operations are
+   O(1). Ordered traversal sorts the keys on demand; only joins, history
+   reads and recovery traverse, never the write path. *)
+type t = { name : string; schema : Schema.t; rows : (string, Value.t array) Hashtbl.t }
 
-(* A secondary index: column value -> set of primary keys. Ordered by
-   Value.compare so range lookups walk the map in value order. *)
-type index = { pos : int; mutable entries : String_set.t Value_map.t }
-
-(* Rows live in a B-tree keyed by primary key: point ops are O(log n) and
-   ordered iteration / range scans come for free. *)
-type t = {
-  name : string;
-  schema : Schema.t;
-  rows : Value.t array Btree.t;
-  indexes : (string, index) Hashtbl.t;
-}
-
-let create ~name schema =
-  { name; schema; rows = Btree.create (); indexes = Hashtbl.create 4 }
-
-let index_add idx value key =
-  let existing = Option.value ~default:String_set.empty (Value_map.find_opt value idx.entries) in
-  idx.entries <- Value_map.add value (String_set.add key existing) idx.entries
-
-let index_remove idx value key =
-  match Value_map.find_opt value idx.entries with
-  | None -> ()
-  | Some set ->
-      let set = String_set.remove key set in
-      idx.entries <-
-        (if String_set.is_empty set then Value_map.remove value idx.entries
-         else Value_map.add value set idx.entries)
-
-(* Each of these is guarded by an index-count check: most tables carry no
-   secondary indexes, and [Hashtbl.iter]'s closure would otherwise be
-   allocated on every row mutation for nothing. *)
-let indexes_on_insert t key row =
-  if Hashtbl.length t.indexes > 0 then
-    Hashtbl.iter (fun _ idx -> index_add idx row.(idx.pos) key) t.indexes
-
-let indexes_on_delete t key row =
-  if Hashtbl.length t.indexes > 0 then
-    Hashtbl.iter (fun _ idx -> index_remove idx row.(idx.pos) key) t.indexes
-
-let indexes_on_update t key ~pos ~before ~after =
-  if Hashtbl.length t.indexes > 0 then
-    Hashtbl.iter
-      (fun _ idx ->
-        if idx.pos = pos && not (Value.equal before after) then begin
-          index_remove idx before key;
-          index_add idx after key
-        end)
-      t.indexes
+let create ~name schema = { name; schema; rows = Hashtbl.create 16 }
 let name t = t.name
 let schema t = t.schema
 
 let insert t ~key row =
-  if Btree.mem t.rows ~key then Error (Printf.sprintf "duplicate key %S" key)
+  if Hashtbl.mem t.rows key then Error (Printf.sprintf "duplicate key %S" key)
   else
     match Schema.validate_row t.schema row with
     | Error e -> Error e
     | Ok () ->
-        let stored = Array.copy row in
-        Btree.insert t.rows ~key stored;
-        indexes_on_insert t key stored;
+        Hashtbl.add t.rows key (Array.copy row);
         Ok ()
 
-let get t ~key = Option.map Array.copy (Btree.find t.rows ~key)
+let get t ~key = Option.map Array.copy (Hashtbl.find_opt t.rows key)
 
 let get_col t ~key ~col =
-  match Btree.find t.rows ~key with
-  | None -> Error (Printf.sprintf "no such key %S" key)
-  | Some row -> (
+  match Hashtbl.find t.rows key with
+  | exception Not_found -> Error (Printf.sprintf "no such key %S" key)
+  | row -> (
       match Schema.index_opt t.schema col with
       | None -> Error (Printf.sprintf "no such column %S" col)
       | Some i -> Ok row.(i))
 
 let set_col t ~key ~col value =
-  match Btree.find t.rows ~key with
-  | None -> Error (Printf.sprintf "no such key %S" key)
-  | Some row -> (
+  match Hashtbl.find t.rows key with
+  | exception Not_found -> Error (Printf.sprintf "no such key %S" key)
+  | row -> (
       match Schema.index_opt t.schema col with
       | None -> Error (Printf.sprintf "no such column %S" col)
       | Some i ->
@@ -88,12 +40,11 @@ let set_col t ~key ~col value =
           else begin
             let old = row.(i) in
             row.(i) <- value;
-            indexes_on_update t key ~pos:i ~before:old ~after:value;
             Ok old
           end)
 
 let add_int_swap t ~key ~col delta =
-  match Btree.find_exn t.rows ~key with
+  match Hashtbl.find t.rows key with
   | exception Not_found -> Error (Printf.sprintf "no such key %S" key)
   | row -> (
       match Schema.index t.schema col with
@@ -104,7 +55,6 @@ let add_int_swap t ~key ~col delta =
           | v ->
               let before = row.(i) in
               row.(i) <- v;
-              indexes_on_update t key ~pos:i ~before ~after:v;
               Ok (before, v)))
 
 let add_int t ~key ~col delta =
@@ -113,70 +63,24 @@ let add_int t ~key ~col delta =
   | Ok (_, v) -> Ok (match v with Value.Int n -> n | v -> int_of_float (Value.as_float v))
 
 let delete t ~key =
-  match Btree.remove t.rows ~key with
-  | None -> None
-  | Some row ->
-      indexes_on_delete t key row;
+  match Hashtbl.find t.rows key with
+  | exception Not_found -> None
+  | row ->
+      Hashtbl.remove t.rows key;
       Some row
 
-let mem t ~key = Btree.mem t.rows ~key
-let size t = Btree.size t.rows
-let keys t = Btree.keys t.rows
-let iter t f = Btree.iter t.rows f
-let fold t ~init ~f = Btree.fold t.rows ~init ~f
+let mem t ~key = Hashtbl.mem t.rows key
+let size t = Hashtbl.length t.rows
 
-let range t ~lo ~hi =
-  List.map (fun (k, row) -> (k, Array.copy row)) (Btree.range t.rows ~lo ~hi)
+(* Sorted once up front, so [f] may mutate the table: it still sees every
+   row that was live when the traversal began. *)
+let bindings t =
+  Hashtbl.fold (fun k row acc -> (k, row) :: acc) t.rows []
+  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
-let create_index t ~col =
-  match Schema.index_opt t.schema col with
-  | None -> Error (Printf.sprintf "no such column %S" col)
-  | Some pos ->
-      if Hashtbl.mem t.indexes col then Error (Printf.sprintf "index on %S exists" col)
-      else begin
-        let idx = { pos; entries = Value_map.empty } in
-        Btree.iter t.rows (fun key row -> index_add idx row.(pos) key);
-        Hashtbl.add t.indexes col idx;
-        Ok ()
-      end
-
-let drop_index t ~col = Hashtbl.remove t.indexes col
-
-let indexed_columns t =
-  Hashtbl.fold (fun col _ acc -> col :: acc) t.indexes [] |> List.sort String.compare
-
-let lookup_eq t ~col value =
-  match Hashtbl.find_opt t.indexes col with
-  | None -> None
-  | Some idx ->
-      Some
-        (match Value_map.find_opt value idx.entries with
-        | Some set -> String_set.elements set
-        | None -> [])
-
-let lookup_range t ~col ?lo ?hi () =
-  match Hashtbl.find_opt t.indexes col with
-  | None -> None
-  | Some idx ->
-      let in_lo v = match lo with None -> true | Some l -> Value.compare v l >= 0 in
-      let in_hi v = match hi with None -> true | Some h -> Value.compare v h <= 0 in
-      Some
-        (Value_map.fold
-           (fun v set acc ->
-             if in_lo v && in_hi v then acc @ String_set.elements set else acc)
-           idx.entries [])
-
-let copy t =
-  let rows = Btree.create () in
-  Btree.iter t.rows (fun k row -> Btree.insert rows ~key:k (Array.copy row));
-  let fresh = { name = t.name; schema = t.schema; rows; indexes = Hashtbl.create 4 } in
-  List.iter
-    (fun col ->
-      match create_index fresh ~col with
-      | Ok () -> ()
-      | Error e -> failwith ("Table.copy: " ^ e))
-    (indexed_columns t);
-  fresh
+let keys t = List.map fst (bindings t)
+let iter t f = List.iter (fun (k, row) -> f k row) (bindings t)
+let fold t ~init ~f = List.fold_left (fun acc (k, row) -> f acc k row) init (bindings t)
 
 let equal_contents a b =
   size a = size b

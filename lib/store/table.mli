@@ -31,39 +31,18 @@ val delete : t -> key:string -> Value.t array option
 
 val mem : t -> key:string -> bool
 val size : t -> int
+
+(** {2 Traversal}
+
+    All three visit rows in ascending [String.compare] key order, so
+    anything built from a traversal (history order, join snapshots,
+    per-base grouping) is independent of the hash layout. Each sorts the
+    live keys first, O(n log n), so [iter]/[fold] visit exactly the rows
+    live when they start even if the callback mutates the table. *)
+
 val keys : t -> string list
-(** Sorted (the row store is an ordered B-tree). *)
-
-val range : t -> lo:string -> hi:string -> (string * Value.t array) list
-(** Rows with [lo <= key <= hi] in key order, as defensive copies. *)
-
 val iter : t -> (string -> Value.t array -> unit) -> unit
 val fold : t -> init:'a -> f:('a -> string -> Value.t array -> 'a) -> 'a
-
-val copy : t -> t
-(** Deep copy (snapshot), including secondary indexes. *)
-
-(** {2 Secondary indexes}
-
-    An index maps a column's values to the keys of the rows holding them,
-    ordered by {!Value.compare}. Indexes are maintained automatically by
-    every mutation ([insert], [set_col], [add_int], [delete]). *)
-
-val create_index : t -> col:string -> (unit, string) result
-(** Builds an index over existing rows. Fails on unknown columns or if
-    the index already exists. *)
-
-val drop_index : t -> col:string -> unit
-val indexed_columns : t -> string list
-(** Sorted. *)
-
-val lookup_eq : t -> col:string -> Value.t -> string list option
-(** Keys of rows whose column equals the value, sorted — [None] when the
-    column has no index. *)
-
-val lookup_range : t -> col:string -> ?lo:Value.t -> ?hi:Value.t -> unit -> string list option
-(** Keys of rows with [lo <= column <= hi] (either bound optional),
-    ordered by column value then key — [None] when not indexed. *)
 
 val equal_contents : t -> t -> bool
 (** Same keys and equal rows, schemas compared by column names/types. *)

@@ -230,20 +230,6 @@ let to_string t =
   refresh_cache t;
   Buffer.contents t.enc
 
-(* Group commit's flush primitive: records [from, length) as one encoded
-   chunk, O(suffix) not O(log). Each record after the log's very first is
-   preceded by its '\n' separator, so appending successive chunks to a file
-   reproduces [to_string] byte for byte. *)
-let encode_suffix_into buf t ~from =
-  if from < 0 || from > t.count then invalid_arg "Wal.encode_suffix_into";
-  let rec take n l acc = if n = 0 then acc else take (n - 1) (List.tl l) (List.hd l :: acc) in
-  let suffix = take (t.count - from) t.records [] in
-  List.iteri
-    (fun i r ->
-      if from + i > 0 then Buffer.add_char buf '\n';
-      encode_record_into buf r)
-    suffix
-
 let of_string s =
   let t = create () in
   let lines = if s = "" then [] else String.split_on_char '\n' s in

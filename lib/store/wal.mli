@@ -52,12 +52,6 @@ val to_string : t -> string
     suffix (plus a copy), not a full re-encode. [truncate] drops the
     cache. *)
 
-val encode_suffix_into : Buffer.t -> t -> from:int -> unit
-(** Appends records [from, length t) — group commit's flush primitive.
-    Chunks written for successive [from] positions concatenate to exactly
-    {!to_string}: every record after the log's first carries a leading
-    newline separator. *)
-
 val of_string : string -> (t, Corruption.t) result
 (** Parses a serialised log. An undecodable {e final} line is treated as a
     tail torn by a crash mid-append and dropped — the decoded prefix is

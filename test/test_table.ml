@@ -121,19 +121,14 @@ let test_iteration () =
   Alcotest.(check int) "fold" 6 total;
   let seen = ref [] in
   Table.iter t (fun k _ -> seen := k :: !seen);
-  Alcotest.(check (list string)) "iter order" [ "a"; "b"; "c" ] (List.rev !seen)
-
-let test_copy_independent () =
-  let t = make () in
-  ignore (Table.insert t ~key:"p" (row "p" 10 true));
-  let snapshot = Table.copy t in
-  ignore (Table.add_int t ~key:"p" ~col:"amount" 100);
-  ignore (Table.insert t ~key:"q" (row "q" 1 false));
-  (match Table.get_col snapshot ~key:"p" ~col:"amount" with
-  | Ok (Value.Int 10) -> ()
-  | _ -> Alcotest.fail "snapshot mutated");
-  Alcotest.(check int) "snapshot size" 1 (Table.size snapshot);
-  Alcotest.(check bool) "contents differ now" false (Table.equal_contents t snapshot)
+  Alcotest.(check (list string)) "iter order" [ "a"; "b"; "c" ] (List.rev !seen);
+  (* A callback that deletes rows still visits every row live at the start. *)
+  let seen = ref [] in
+  Table.iter t (fun k _ ->
+      seen := k :: !seen;
+      ignore (Table.delete t ~key:"c"));
+  Alcotest.(check (list string)) "snapshot of keys" [ "a"; "b"; "c" ] (List.rev !seen);
+  Alcotest.(check int) "deleted meanwhile" 2 (Table.size t)
 
 let test_equal_contents () =
   let a = make () and b = make () in
@@ -169,6 +164,47 @@ let qcheck_tests =
           ops;
         Table.size t = Hashtbl.length model
         && List.for_all (fun k -> Hashtbl.mem model k) (Table.keys t));
+    (* The row store is a hash table, but every traversal must visit
+       exactly the live keys in String.compare order with the model's
+       rows: history order, join snapshots and per-base grouping are built
+       from these traversals. *)
+    Test.make ~name:"traversal = sorted model" ~count:300
+      (list_of_size Gen.(int_range 0 200)
+         (triple (int_bound 3) (int_bound 40) small_signed_int))
+      (fun ops ->
+        let t = fresh () in
+        let model = Hashtbl.create 16 in
+        List.iter
+          (fun (op, k, n) ->
+            let key = "k" ^ string_of_int k in
+            match op with
+            | 0 ->
+                if Result.is_ok (Table.insert t ~key (row key n true)) then
+                  Hashtbl.replace model key (row key n true)
+            | 1 ->
+                ignore (Table.delete t ~key);
+                Hashtbl.remove model key
+            | 2 ->
+                if Result.is_ok (Table.set_col t ~key ~col:"regular" (Value.Bool (n >= 0))) then
+                  (Hashtbl.find model key).(2) <- Value.Bool (n >= 0)
+            | _ -> (
+                match Table.add_int t ~key ~col:"amount" n with
+                | Ok v -> (Hashtbl.find model key).(1) <- Value.Int v
+                | Error _ -> ()))
+          ops;
+        let expected =
+          Hashtbl.fold (fun k r acc -> (k, r) :: acc) model []
+          |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+        in
+        let same_row a b = Array.length a = Array.length b && Array.for_all2 Value.equal a b in
+        let same l = List.equal (fun (ka, ra) (kb, rb) -> ka = kb && same_row ra rb) expected l in
+        let iterated = ref [] in
+        Table.iter t (fun k r -> iterated := (k, Array.copy r) :: !iterated);
+        let folded = Table.fold t ~init:[] ~f:(fun acc k r -> (k, Array.copy r) :: acc) in
+        Table.keys t = List.map fst expected
+        && same (List.rev !iterated)
+        && same (List.rev folded)
+        && Table.size t = Hashtbl.length model);
     Test.make ~name:"add_int sums match model" ~count:200
       (list_of_size Gen.(int_range 0 100) (int_range (-50) 50))
       (fun deltas ->
@@ -198,7 +234,6 @@ let suites =
         Alcotest.test_case "add_int" `Quick test_add_int;
         Alcotest.test_case "delete" `Quick test_delete;
         Alcotest.test_case "iteration" `Quick test_iteration;
-        Alcotest.test_case "copy independent" `Quick test_copy_independent;
         Alcotest.test_case "equal_contents" `Quick test_equal_contents;
       ]
       @ List.map Gen.to_alcotest qcheck_tests );
